@@ -61,6 +61,7 @@ void FuxiAgent::Crash() {
   // Soft state lost with the daemon; processes keep running in the
   // ProcessHost (user-transparent agent failover, §4.3.1).
   capacity_.clear();
+  granted_total_ = {};
   pending_launches_.clear();
   restart_counts_.clear();
 }
@@ -174,26 +175,20 @@ void FuxiAgent::OnHeartbeatAck(const master::AgentHeartbeatAckRpc& rpc) {
 }
 
 void FuxiAgent::OnCapacity(const master::AgentCapacityRpc& rpc) {
-  // Replay guard: a new master generation resets the counter space; a
-  // seq at or below the last full snapshot is already covered by it;
-  // an already-applied seq is a network duplicate (deltas must apply
-  // exactly once or the table drifts from the scheduler's view).
-  if (rpc.master_generation != capacity_generation_) {
-    capacity_generation_ = rpc.master_generation;
-    last_full_capacity_seq_ = 0;
-    applied_capacity_seqs_.clear();
+  // Deltas must apply exactly once or the table drifts from the
+  // scheduler's view.
+  if (!capacity_guard_.Accept(rpc.master_generation, rpc.seq, rpc.full)) {
+    return;
   }
-  if (rpc.seq <= last_full_capacity_seq_) return;
-  if (!applied_capacity_seqs_.insert(rpc.seq).second) return;
   if (rpc.full) {
-    last_full_capacity_seq_ = rpc.seq;
-    applied_capacity_seqs_.clear();
     capacity_.clear();
+    granted_total_ = {};
     need_capacity_ = false;
   }
   for (const master::AgentCapacityRpc::Entry& entry : rpc.entries) {
     CapacityKey key{entry.app, entry.slot_id};
     CapacityEntry& cap = capacity_[key];
+    granted_total_ -= cap.def.resources * cap.count;
     cap.def = entry.def;
     if (rpc.full) {
       cap.count = entry.delta;
@@ -201,9 +196,10 @@ void FuxiAgent::OnCapacity(const master::AgentCapacityRpc& rpc) {
       cap.count += entry.delta;
     }
     if (cap.count < 0) cap.count = 0;
+    granted_total_ += cap.def.resources * cap.count;
     EnforceCapacity(entry.app, entry.slot_id);
     if (cap.count == 0 &&
-        host_->AliveOf(entry.app, entry.slot_id).empty()) {
+        host_->AliveCountOf(entry.app, entry.slot_id) == 0) {
       capacity_.erase(key);
     }
   }
@@ -212,21 +208,16 @@ void FuxiAgent::OnCapacity(const master::AgentCapacityRpc& rpc) {
     // process whose (app, slot) the snapshot does not cover lost its
     // grant (e.g. a revocation delta or the AM's stop request was lost)
     // and must be reaped, or it would leak forever.
-    std::set<CapacityKey> live_keys;
-    for (const Process* process : host_->Alive()) {
-      live_keys.insert({process->app, process->slot_id});
-    }
-    for (const CapacityKey& key : live_keys) {
-      EnforceCapacity(key.first, key.second);
+    for (const auto& [app, slot_id] : host_->AliveSlots()) {
+      EnforceCapacity(app, slot_id);
     }
   }
 }
 
 void FuxiAgent::EnforceCapacity(AppId app, uint32_t slot_id) {
-  CapacityKey key{app, slot_id};
-  int64_t allowed = 0;
-  if (auto it = capacity_.find(key); it != capacity_.end()) {
-    allowed = it->second.count;
+  int64_t allowed = CapacityOf(app, slot_id);
+  if (static_cast<int64_t>(host_->AliveCountOf(app, slot_id)) <= allowed) {
+    return;
   }
   std::vector<const Process*> running = host_->AliveOf(app, slot_id);
   // Resource capacity ensurance (§2.2): when capacity decreases and the
@@ -295,7 +286,7 @@ void FuxiAgent::OnStartWorker(const net::Envelope& env,
   auto it = capacity_.find(key);
   int64_t allowed = it == capacity_.end() ? 0 : it->second.count;
   int64_t running =
-      static_cast<int64_t>(host_->AliveOf(rpc.app, rpc.slot_id).size());
+      static_cast<int64_t>(host_->AliveCountOf(rpc.app, rpc.slot_id));
   int64_t launching = pending_launches_[key];
   if (running + launching >= allowed) {
     // The agent only starts processes backed by granted capacity
@@ -325,7 +316,7 @@ void FuxiAgent::OnStartWorker(const net::Envelope& env,
     auto cap_it = capacity_.find(key);
     int64_t now_allowed = cap_it == capacity_.end() ? 0 : cap_it->second.count;
     int64_t now_running = static_cast<int64_t>(
-        host_->AliveOf(plan.app, plan.slot_id).size());
+        host_->AliveCountOf(plan.app, plan.slot_id));
     if (now_running >= now_allowed) {
       late_reply.ok = false;
       late_reply.error = "capacity revoked during worker start";
@@ -390,14 +381,6 @@ void FuxiAgent::InjectWorkerCrash(WorkerId worker) {
 int64_t FuxiAgent::CapacityOf(AppId app, uint32_t slot_id) const {
   auto it = capacity_.find({app, slot_id});
   return it == capacity_.end() ? 0 : it->second.count;
-}
-
-cluster::ResourceVector FuxiAgent::TotalGrantedCapacity() const {
-  cluster::ResourceVector total;
-  for (const auto& [key, entry] : capacity_) {
-    total += entry.def.resources * entry.count;
-  }
-  return total;
 }
 
 void FuxiAgent::AuditKill(AppId app, uint32_t slot_id, const char* cause) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "agent/capacity_seq_guard.h"
 #include "agent/process_host.h"
 #include "cluster/topology.h"
 #include "common/ids.h"
@@ -102,7 +103,9 @@ class FuxiAgent : public sim::Actor {
   /// against the machine's physical capacity: a sustained excess means
   /// FuxiMaster double-granted the machine (e.g. a failover that did
   /// not restore existing grants before rescheduling).
-  cluster::ResourceVector TotalGrantedCapacity() const;
+  const cluster::ResourceVector& TotalGrantedCapacity() const {
+    return granted_total_;
+  }
 
   /// Simulates a worker process crash (PartialWorkerFailure injection):
   /// the agent notices and applies its restart-in-place policy.
@@ -172,17 +175,18 @@ class FuxiAgent : public sim::Actor {
   bool send_allocations_next_ = true;  ///< first contact reports state
   bool need_capacity_ = false;
 
-  /// Capacity-channel replay guard (see AgentCapacityRpc::seq). Deltas
-  /// commute, so only duplicates and deltas older than the last full
-  /// snapshot are dropped. Deliberately kept across agent restarts: the
-  /// master's counter is monotonic per generation, so the guard stays
-  /// valid for the machine even when the daemon's table is lost.
-  uint64_t capacity_generation_ = 0;
-  uint64_t last_full_capacity_seq_ = 0;
-  std::set<uint64_t> applied_capacity_seqs_;
+  /// Capacity-channel replay guard. Deliberately kept across agent
+  /// restarts: the master's counter is monotonic per generation, so the
+  /// guard stays valid for the machine even when the daemon's table is
+  /// lost.
+  CapacitySeqGuard capacity_guard_;
 
   net::Endpoint endpoint_;
   std::map<CapacityKey, CapacityEntry> capacity_;
+  /// Sum over capacity_ of def.resources x count, kept in step with
+  /// every table edit (the telemetry overcommit probe and the invariant
+  /// monitor read it for every agent, every tick).
+  cluster::ResourceVector granted_total_;
   /// Launches in progress (accepted, still "downloading the package").
   std::map<CapacityKey, int64_t> pending_launches_;
   /// Restart-in-place counters per worker lineage.

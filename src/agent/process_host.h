@@ -1,9 +1,11 @@
 #ifndef FUXI_AGENT_PROCESS_HOST_H_
 #define FUXI_AGENT_PROCESS_HOST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "cluster/resource_vector.h"
@@ -66,6 +68,11 @@ class ProcessHost {
     Process process{id,    app, slot_id, owner_am, limit, limit,
                     std::move(plan), now, true};
     auto [it, inserted] = processes_.emplace(id, std::move(process));
+    // Ids only grow, so the new process goes at the end of its run.
+    by_slot_.insert(SlotRun(app, slot_id).second, &it->second);
+    limit_total_ += limit;
+    usage_total_ += limit;
+    ++alive_count_;
     if (running_gauge_ != nullptr) running_gauge_->Add(1);
     if (launch_hook_) launch_hook_(it->second);
     return id;
@@ -75,9 +82,15 @@ class ProcessHost {
   bool Kill(WorkerId id) {
     auto it = processes_.find(id);
     if (it == processes_.end() || !it->second.alive) return false;
-    it->second.alive = false;
+    Process& process = it->second;
+    process.alive = false;
+    auto [first, last] = SlotRun(process.app, process.slot_id);
+    by_slot_.erase(std::find(first, last, &process));
+    limit_total_ -= process.limit;
+    usage_total_ -= process.usage;
+    --alive_count_;
     if (running_gauge_ != nullptr) running_gauge_->Add(-1);
-    if (kill_hook_) kill_hook_(it->second);
+    if (kill_hook_) kill_hook_(process);
     processes_.erase(it);
     return true;
   }
@@ -96,35 +109,35 @@ class ProcessHost {
     return out;
   }
 
-  /// Live processes of one application (newest last).
+  /// Live processes of one application slot, in id order (newest last).
   std::vector<const Process*> AliveOf(AppId app, uint32_t slot_id) const {
-    std::vector<const Process*> out;
-    for (const auto& [id, process] : processes_) {
-      if (process.alive && process.app == app &&
-          process.slot_id == slot_id) {
-        out.push_back(&process);
-      }
+    auto [first, last] = SlotRun(app, slot_id);
+    return {first, last};
+  }
+
+  /// The (app, slot) pairs with at least one live process, in order.
+  std::vector<std::pair<AppId, uint32_t>> AliveSlots() const {
+    std::vector<std::pair<AppId, uint32_t>> out;
+    for (const Process* process : by_slot_) {
+      std::pair<AppId, uint32_t> key{process->app, process->slot_id};
+      if (out.empty() || out.back() != key) out.push_back(key);
     }
     return out;
   }
 
-  /// Sum of the resource limits of live processes (the machine "load"
-  /// the Cgroup controller compares against capacity).
-  cluster::ResourceVector TotalUsage() const {
-    cluster::ResourceVector total;
-    for (const auto& [id, process] : processes_) {
-      if (process.alive) total += process.limit;
-    }
-    return total;
+  /// How many processes AliveOf(app, slot_id) would return.
+  size_t AliveCountOf(AppId app, uint32_t slot_id) const {
+    auto [first, last] = SlotRun(app, slot_id);
+    return static_cast<size_t>(last - first);
   }
 
+  /// Sum of the resource limits of live processes (the machine "load"
+  /// the Cgroup controller compares against capacity).
+  const cluster::ResourceVector& TotalUsage() const { return limit_total_; }
+
   /// Sum of the ACTUAL usage of live processes (soft-limit model).
-  cluster::ResourceVector TotalActualUsage() const {
-    cluster::ResourceVector total;
-    for (const auto& [id, process] : processes_) {
-      if (process.alive) total += process.usage;
-    }
-    return total;
+  const cluster::ResourceVector& TotalActualUsage() const {
+    return usage_total_;
   }
 
   /// Overrides a process's actual usage (fault injection: runaway
@@ -132,22 +145,44 @@ class ProcessHost {
   bool SetProcessUsage(WorkerId id, const cluster::ResourceVector& usage) {
     auto it = processes_.find(id);
     if (it == processes_.end() || !it->second.alive) return false;
+    usage_total_ -= it->second.usage;
+    usage_total_ += usage;
     it->second.usage = usage;
     return true;
   }
 
-  size_t alive_count() const {
-    size_t n = 0;
-    for (const auto& [id, process] : processes_) {
-      if (process.alive) ++n;
-    }
-    return n;
-  }
+  size_t alive_count() const { return alive_count_; }
 
  private:
+  using SlotIndex = std::vector<const Process*>;
+
+  /// The run of `by_slot_` holding (app, slot_id)'s live processes.
+  std::pair<SlotIndex::const_iterator, SlotIndex::const_iterator> SlotRun(
+      AppId app, uint32_t slot_id) const {
+    auto first = std::partition_point(
+        by_slot_.begin(), by_slot_.end(), [&](const Process* p) {
+          return p->app < app || (p->app == app && p->slot_id < slot_id);
+        });
+    auto last = std::partition_point(first, by_slot_.end(),
+                                     [&](const Process* p) {
+                                       return p->app == app &&
+                                              p->slot_id == slot_id;
+                                     });
+    return {first, last};
+  }
+
   MachineId machine_;
   WorkerId next_id_;
   std::map<WorkerId, Process> processes_;
+  /// Live processes sorted by (app, slot_id, id), so each slot's
+  /// processes form one run in id order: 8 bytes a process, no node
+  /// allocations. Kill updates the index, the totals and the count
+  /// before the kill hook runs, so the hook sees the process as already
+  /// gone, as Alive() does.
+  SlotIndex by_slot_;
+  cluster::ResourceVector limit_total_;
+  cluster::ResourceVector usage_total_;
+  size_t alive_count_ = 0;
   LaunchHook launch_hook_;
   KillHook kill_hook_;
   obs::Gauge* running_gauge_ = nullptr;

@@ -563,12 +563,11 @@ void FuxiMaster::ApplyFullState(AppRecord* record,
     reconcile.units.push_back(std::move(delta));
   }
   // Slots the application no longer mentions: zero them out.
-  for (const resource::PendingDemand* demand : tree.AllDemands()) {
-    if (demand->key.app != record->app) continue;
-    if (mentioned.count(demand->key.slot_id) > 0) continue;
+  for (const auto& [key, demand] : tree.DemandsOf(record->app)) {
+    if (mentioned.count(key.slot_id) > 0) continue;
     if (demand->total_remaining == 0) continue;
     resource::UnitRequestDelta delta;
-    delta.slot_id = demand->key.slot_id;
+    delta.slot_id = key.slot_id;
     delta.total_count_delta = -demand->total_remaining;
     reconcile.units.push_back(std::move(delta));
   }

@@ -22,6 +22,7 @@ PendingDemand* LocalityTree::GetOrCreate(const SlotKey& key,
   demand->enqueue_seq = next_seq_++;
   PendingDemand* ptr = demand.get();
   demands_.emplace(key, std::move(demand));
+  by_key_.emplace(key, ptr);
   return ptr;
 }
 
@@ -108,16 +109,19 @@ void LocalityTree::Remove(const SlotKey& key) {
   auto it = demands_.find(key);
   if (it == demands_.end()) return;
   if (it->second->total_remaining > 0) EraseFromAllQueues(*it->second);
+  by_key_.erase(key);
   demands_.erase(it);
 }
 
 size_t LocalityTree::RemoveApp(AppId app) {
-  std::vector<SlotKey> keys;
-  for (const auto& [key, demand] : demands_) {
-    if (key.app == app) keys.push_back(key);
+  size_t removed = 0;
+  auto it = by_key_.lower_bound(SlotKey{app, 0});
+  while (it != by_key_.end() && it->first.app == app) {
+    SlotKey key = (it++)->first;  // Remove erases this entry
+    Remove(key);
+    ++removed;
   }
-  for (const SlotKey& key : keys) Remove(key);
-  return keys.size();
+  return removed;
 }
 
 LocalityLevel LocalityTree::WaitLevelFor(const PendingDemand& demand,
@@ -248,16 +252,25 @@ int64_t LocalityTree::TotalWaitingUnits() const {
 
 std::vector<const PendingDemand*> LocalityTree::AllDemands() const {
   std::vector<const PendingDemand*> out;
-  out.reserve(demands_.size());
-  for (const auto& [key, demand] : demands_) out.push_back(demand.get());
-  std::sort(out.begin(), out.end(),
-            [](const PendingDemand* a, const PendingDemand* b) {
-              return a->key < b->key;
-            });
+  out.reserve(by_key_.size());
+  for (const auto& [key, demand] : by_key_) out.push_back(demand);
   return out;
 }
 
+LocalityTree::DemandRange LocalityTree::DemandsOf(AppId app) const {
+  auto first = by_key_.lower_bound(SlotKey{app, 0});
+  auto last = first;
+  while (last != by_key_.end() && last->first.app == app) ++last;
+  return {first, last};
+}
+
 bool LocalityTree::CheckInvariants() const {
+  if (by_key_.size() != demands_.size()) return false;
+  for (const auto& [key, demand] : by_key_) {
+    auto it = demands_.find(key);
+    if (it == demands_.end() || it->second.get() != demand) return false;
+    if (demand->key != key) return false;
+  }
   for (const auto& [key, demand] : demands_) {
     if (demand->total_remaining < 0) return false;
     bool live = demand->total_remaining > 0;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -93,6 +94,10 @@ struct PendingDemand {
 /// size.
 class LocalityTree {
  public:
+  /// Every demand (drained ones too), ordered by SlotKey.
+  using DemandIndex = std::map<SlotKey, PendingDemand*>;
+  using DemandRange = std::ranges::subrange<DemandIndex::const_iterator>;
+
   explicit LocalityTree(const cluster::ClusterTopology* topology);
 
   /// Returns the demand for `key`, creating it (with `def`) if absent.
@@ -157,12 +162,23 @@ class LocalityTree {
   /// Sum over demands of total_remaining (unit counts, not resources).
   int64_t TotalWaitingUnits() const;
 
-  /// Demands with any outstanding count, in key order (deterministic).
+  /// Every demand, in key order (deterministic). Drained demands
+  /// (total_remaining == 0) are included: they keep their preference
+  /// counts and avoid list until removed, so callers that only want
+  /// waiting demands filter on total_remaining themselves.
   std::vector<const PendingDemand*> AllDemands() const;
+
+  /// The demands of one application, drained ones included, in slot
+  /// order: the `lower_bound(SlotKey{app, 0})` range of the key index,
+  /// so the walk costs the app's own demands, not the cluster's.
+  /// Iterates as (SlotKey, PendingDemand*) pairs; invalidated by
+  /// GetOrCreate/Remove/RemoveApp of the same app.
+  DemandRange DemandsOf(AppId app) const;
 
   size_t demand_count() const { return demands_.size(); }
 
-  /// Validates internal queue/index consistency; used by property tests.
+  /// Validates internal queue/index consistency (including that the key
+  /// index lists exactly the demands); used by property tests.
   bool CheckInvariants() const;
 
  private:
@@ -193,6 +209,9 @@ class LocalityTree {
 
   std::unordered_map<SlotKey, std::unique_ptr<PendingDemand>, SlotKeyHash>
       demands_;
+  /// Ordered view of demands_ for key-order walks; hash lookups stay on
+  /// demands_, which placement's Find() calls hit far more often.
+  DemandIndex by_key_;
   std::unordered_map<MachineId, Queue> machine_queues_;
   std::unordered_map<RackId, Queue> rack_queues_;
   Queue cluster_queue_;

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace fuxi::sim {
@@ -13,14 +14,17 @@ EventHandle Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   if (when < now_) when = now_;
   auto cancelled = std::make_shared<bool>(false);
   EventHandle handle{std::weak_ptr<bool>(cancelled)};
-  queue_.push(Event{when, next_seq_++, std::move(fn), std::move(cancelled)});
+  queue_.push_back(
+      Event{when, next_seq_++, std::move(fn), std::move(cancelled)});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
   return handle;
 }
 
 bool Simulator::Step() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     FUXI_CHECK_GE(ev.time, now_);
     now_ = ev.time;
     if (*ev.cancelled) continue;
@@ -37,7 +41,7 @@ bool Simulator::Step() {
 
 uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t ran = 0;
-  while (!queue_.empty() && queue_.top().time <= until) {
+  while (!queue_.empty() && queue_.front().time <= until) {
     if (Step()) ++ran;
   }
   if (now_ < until) now_ = until;

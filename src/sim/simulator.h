@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/logging.h"
@@ -119,6 +118,7 @@ class Simulator {
     std::function<void()> fn;
     std::shared_ptr<bool> cancelled;
   };
+  /// Heap order: the earliest (time, seq) sits at the front.
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -129,7 +129,11 @@ class Simulator {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  /// Binary heap under EventLater (std::push_heap/pop_heap). Unlike
+  /// std::priority_queue, whose top() is const, the popped event is
+  /// moved out, so firing never copies its callback or the message
+  /// payload the callback captured.
+  std::vector<Event> queue_;
   std::function<void(SimTime)> post_event_hook_;
   uint64_t next_observer_token_ = 1;
   std::vector<std::pair<uint64_t, std::function<void(SimTime)>>>

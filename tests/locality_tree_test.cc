@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ranges>
+#include <vector>
+
 #include "cluster/topology.h"
 #include "common/rng.h"
 
@@ -199,6 +202,8 @@ TEST(LocalityTreeTest, RemoveAppDropsAllItsDemands) {
   tree.AddTotal(other, 2);
   EXPECT_EQ(tree.RemoveApp(AppId(1)), 3u);
   EXPECT_EQ(tree.demand_count(), 1u);
+  EXPECT_TRUE(tree.DemandsOf(AppId(1)).empty());
+  EXPECT_EQ(std::ranges::distance(tree.DemandsOf(AppId(2))), 1);
   EXPECT_EQ(tree.TotalWaitingUnits(), 2);
   EXPECT_TRUE(tree.CheckInvariants());
 }
@@ -220,7 +225,7 @@ TEST_P(LocalityTreeFuzzTest, RandomOperationsKeepInvariants) {
     const SlotKey& key = keys[rng.Uniform(keys.size())];
     PendingDemand* d = tree.GetOrCreate(
         key, Unit(static_cast<Priority>(rng.Uniform(4))));
-    switch (rng.Uniform(5)) {
+    switch (rng.Uniform(6)) {
       case 0:
         tree.AddTotal(d, rng.UniformRange(-5, 10));
         break;
@@ -243,8 +248,29 @@ TEST_P(LocalityTreeFuzzTest, RandomOperationsKeepInvariants) {
       case 4:
         if (rng.Bernoulli(0.05)) tree.Remove(key);
         break;
+      case 5:
+        if (rng.Bernoulli(0.02)) tree.RemoveApp(key.app);
+        break;
     }
     ASSERT_TRUE(tree.CheckInvariants()) << "step " << step;
+    // The per-app range is exactly AllDemands() filtered by app, in key
+    // order.
+    std::vector<const PendingDemand*> all = tree.AllDemands();
+    for (int64_t app = 1; app <= 4; ++app) {
+      std::vector<const PendingDemand*> want;
+      for (const PendingDemand* demand : all) {
+        if (demand->key.app == AppId(app)) want.push_back(demand);
+      }
+      std::vector<const PendingDemand*> got;
+      for (const auto& [slot_key, demand] : tree.DemandsOf(AppId(app))) {
+        ASSERT_EQ(slot_key, demand->key);
+        got.push_back(demand);
+      }
+      ASSERT_EQ(got, want) << "step " << step << " app " << app;
+    }
+    for (size_t i = 1; i < all.size(); ++i) {
+      ASSERT_TRUE(all[i - 1]->key < all[i]->key) << "step " << step;
+    }
   }
 }
 

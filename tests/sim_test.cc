@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace fuxi::sim {
@@ -148,6 +149,41 @@ TEST(SimulatorTest, ScheduleAtPastClampsToNow) {
   sim.ScheduleAt(2.0, [&] { fired_at = sim.Now(); });
   sim.RunToCompletion();
   EXPECT_DOUBLE_EQ(fired_at, 10.0);
+}
+
+/// Callable that counts how often it is copied. Moves are free.
+struct CopyCountingCallback {
+  int* copies;
+  int* calls;
+  CopyCountingCallback(int* copies_in, int* calls_in)
+      : copies(copies_in), calls(calls_in) {}
+  CopyCountingCallback(const CopyCountingCallback& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCountingCallback(CopyCountingCallback&&) = default;
+  CopyCountingCallback& operator=(const CopyCountingCallback&) = delete;
+  CopyCountingCallback& operator=(CopyCountingCallback&&) = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(SimulatorTest, FiringMovesTheCallbackInsteadOfCopyingIt) {
+  // Enough events, at shuffled times, to make the heap sift on every
+  // push and pop: sifting moves events, and firing moves the callback
+  // out, so no callback (or the payload it captured) is ever copied.
+  Simulator sim;
+  int copies = 0;
+  int calls = 0;
+  for (int i = 0; i < 64; ++i) {
+    sim.Schedule((i * 37) % 64,
+                 std::function<void()>(CopyCountingCallback(&copies, &calls)));
+  }
+  EXPECT_EQ(copies, 0);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(copies, 0);
+  sim.RunToCompletion();
+  EXPECT_EQ(calls, 64);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(SimulatorTest, CountsExecutedEvents) {
