@@ -109,6 +109,10 @@ class ProcessHost {
     return out;
   }
 
+  /// Every live process sorted by (app, slot_id, id), so each app's
+  /// processes form one contiguous run. Launch and Kill invalidate it.
+  const std::vector<const Process*>& AliveByApp() const { return by_slot_; }
+
   /// Live processes of one application slot, in id order (newest last).
   std::vector<const Process*> AliveOf(AppId app, uint32_t slot_id) const {
     auto [first, last] = SlotRun(app, slot_id);

@@ -1,12 +1,24 @@
 #include "chaos/invariant_monitor.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
 #include "obs/exporters.h"
 
 namespace fuxi::chaos {
+
+namespace {
+
+/// Suffix of shard k's per-shard invariant names; empty when unsharded,
+/// so the one-shard cluster keeps the legacy names.
+std::string ShardSuffix(int shards, int k) {
+  return shards > 1 ? ":shard" + std::to_string(k) : "";
+}
+
+}  // namespace
 
 InvariantMonitor::InvariantMonitor(runtime::SimCluster* cluster,
                                    InvariantMonitorOptions options)
@@ -18,6 +30,14 @@ InvariantMonitor::InvariantMonitor(runtime::SimCluster* cluster,
   for (const cluster::Machine& machine : cluster->topology().machines()) {
     ++shard_machine_count_[static_cast<size_t>(
         cluster->shard_of_machine(machine.id))];
+  }
+  shard_masters_.resize(shards);
+  for (size_t k = 0; k < shards; ++k) {
+    const std::string& lock = cluster->shard_lock(static_cast<int>(k));
+    for (int i = 0; i < cluster->master_count(); ++i) {
+      master::FuxiMaster* m = cluster->master(i);
+      if (m->lock_name() == lock) shard_masters_[k].push_back(m);
+    }
   }
 }
 
@@ -73,25 +93,38 @@ void InvariantMonitor::Record(double now, const std::string& invariant,
   violations_.push_back(Violation{now, invariant, detail});
 }
 
-void InvariantMonitor::Sustained(const std::string& key, bool bad,
+std::string InvariantMonitor::KeyText(const ConditionKey& key) {
+  std::string subject = std::to_string(key.subject);
+  switch (key.kind) {
+    case ConditionKind::kPrimaryWithoutLock:
+      return "primary-without-lock:node" + subject;
+    case ConditionKind::kSinglePrimary:
+      return key.subject < 0 ? "single-primary"
+                             : "single-primary:shard" + subject;
+    case ConditionKind::kAgentOvercommit:
+      return "agent-overcommit:m" + subject;
+    case ConditionKind::kShardIsolation:
+      return "shard-isolation:m" + subject;
+    case ConditionKind::kOrphanProcesses:
+      return "orphan-processes:m" + subject + ":app" + std::to_string(key.app);
+  }
+  return "unknown-condition";
+}
+
+template <typename DetailFn>
+void InvariantMonitor::Sustained(const ConditionKey& key, bool bad,
                                  double grace, double now,
-                                 const std::string& detail) {
-  auto it = pending_.find(key);
+                                 const DetailFn& detail) {
   if (!bad) {
-    if (it != pending_.end()) pending_.erase(it);
+    pending_.erase(key);
     return;
   }
-  if (it == pending_.end()) {
-    pending_.emplace(key, PendingCondition{now, false, detail});
-    return;
-  }
-  it->second.detail = detail;
-  if (!it->second.fired && now - it->second.since >= grace) {
-    it->second.fired = true;
-    Record(now, key,
-           detail + " (sustained since t=" + std::to_string(it->second.since) +
-               ")");
-  }
+  auto [it, inserted] = pending_.try_emplace(key, PendingCondition{now, false});
+  if (inserted || it->second.fired || now - it->second.since < grace) return;
+  it->second.fired = true;
+  Record(now, KeyText(key),
+         detail() + " (sustained since t=" + std::to_string(it->second.since) +
+             ")");
 }
 
 void InvariantMonitor::Fold(uint64_t value) {
@@ -111,20 +144,15 @@ void InvariantMonitor::FoldTime(double value) {
 
 void InvariantMonitor::CheapChecks(double now) {
   // One pass per shard (the unsharded cluster is the one-shard case and
-  // produces exactly the legacy condition keys). Masters are matched to
-  // their shard by election lease so the loop never depends on
+  // produces exactly the legacy condition keys). shard_masters_ matched
+  // masters to shards by election lease, so the loop never depends on
   // construction order.
   int shards = cluster_->shard_count();
   for (int k = 0; k < shards; ++k) {
-    const std::string lock = cluster_->shard_lock(k);
-    const std::string suffix =
-        shards > 1 ? ":shard" + std::to_string(k) : "";
-    NodeId holder = cluster_->locks().Holder(lock);
+    NodeId holder = cluster_->locks().Holder(cluster_->shard_lock(k));
     int primaries = 0;
     master::FuxiMaster* holder_primary = nullptr;
-    for (int i = 0; i < cluster_->master_count(); ++i) {
-      master::FuxiMaster* m = cluster_->master(i);
-      if (m->lock_name() != lock) continue;
+    for (master::FuxiMaster* m : shard_masters_[static_cast<size_t>(k)]) {
       bool acting_primary = m->is_alive() && m->is_primary();
       if (acting_primary) {
         ++primaries;
@@ -135,26 +163,27 @@ void InvariantMonitor::CheapChecks(double now) {
         // renewal and step down; staying in charge past the grace window
         // means two masters could be dispatching grants concurrently.
         Sustained(
-            "primary-without-lock:node" + std::to_string(m->node().value()),
+            ConditionKey{ConditionKind::kPrimaryWithoutLock, m->node().value()},
             acting_primary && m->node() != holder,
-            options_.split_brain_grace, now,
-            "master node " + std::to_string(m->node().value()) +
-                " acts as primary but the lock is held by node " +
-                std::to_string(holder.value()));
+            options_.split_brain_grace, now, [&] {
+              return "master node " + std::to_string(m->node().value()) +
+                     " acts as primary but the lock is held by node " +
+                     std::to_string(holder.value());
+            });
       }
     }
     if (options_.check_single_primary) {
-      Sustained("single-primary" + suffix, primaries > 1,
-                options_.split_brain_grace, now,
-                std::to_string(primaries) +
-                    " masters act as primary at once");
+      ConditionKey key{ConditionKind::kSinglePrimary, shards > 1 ? k : -1};
+      Sustained(key, primaries > 1, options_.split_brain_grace, now, [&] {
+        return std::to_string(primaries) + " masters act as primary at once";
+      });
     }
     if (options_.check_generation_monotonic && holder_primary != nullptr) {
       uint64_t generation = holder_primary->generation();
       uint64_t& last_generation =
           last_shard_generation_[static_cast<size_t>(k)];
       if (generation < last_generation) {
-        Record(now, "generation-monotonic" + suffix,
+        Record(now, "generation-monotonic" + ShardSuffix(shards, k),
                "lock holder node " +
                    std::to_string(holder_primary->node().value()) +
                    " acts with generation " + std::to_string(generation) +
@@ -178,14 +207,9 @@ void InvariantMonitor::HeavyChecks(double now) {
   std::vector<master::FuxiMaster*> primaries(
       static_cast<size_t>(shards), nullptr);
   for (int k = 0; k < shards; ++k) {
-    const std::string lock = cluster_->shard_lock(k);
-    const std::string suffix =
-        shards > 1 ? ":shard" + std::to_string(k) : "";
-    NodeId holder = cluster_->locks().Holder(lock);
+    NodeId holder = cluster_->locks().Holder(cluster_->shard_lock(k));
     master::FuxiMaster* primary = nullptr;
-    for (int i = 0; i < cluster_->master_count(); ++i) {
-      master::FuxiMaster* m = cluster_->master(i);
-      if (m->lock_name() != lock) continue;
+    for (master::FuxiMaster* m : shard_masters_[static_cast<size_t>(k)]) {
       if (m->is_alive() && m->is_primary() && m->node() == holder) primary = m;
     }
     primaries[static_cast<size_t>(k)] = primary;
@@ -194,7 +218,7 @@ void InvariantMonitor::HeavyChecks(double now) {
     if (primary != nullptr && primary->scheduler() != nullptr) {
       if (options_.check_scheduler_conservation &&
           !primary->scheduler()->CheckInvariants()) {
-        Record(now, "scheduler-conservation" + suffix,
+        Record(now, "scheduler-conservation" + ShardSuffix(shards, k),
                "scheduler cross-structure audit failed (free+granted vs "
                "capacity, quota accounting, or locality-tree totals)");
       }
@@ -202,13 +226,13 @@ void InvariantMonitor::HeavyChecks(double now) {
       // legacy runs and the golden replays pin the fold stream.
       if (options_.check_planner_overcommit &&
           !primary->scheduler()->PlannerOvercommitOk()) {
-        Record(now, "planner-overcommit" + suffix,
+        Record(now, "planner-overcommit" + ShardSuffix(shards, k),
                "a machine or rack timeline admits booked load above "
                "free-now + expected releases at some scheduled point");
       }
       if (options_.check_gang_atomicity &&
           !primary->scheduler()->PlannerGangAtomicityOk()) {
-        Record(now, "gang-atomicity" + suffix,
+        Record(now, "gang-atomicity" + ShardSuffix(shards, k),
                "an unstarted gang holds grants on at least one member "
                "(all-or-nothing transaction leaked a partial placement)");
       }
@@ -221,7 +245,7 @@ void InvariantMonitor::HeavyChecks(double now) {
         size_t blacklisted = primary->Blacklisted().size();
         Fold(blacklisted);
         if (blacklisted > cap) {
-          Record(now, "blacklist-cap" + suffix,
+          Record(now, "blacklist-cap" + ShardSuffix(shards, k),
                  std::to_string(blacklisted) +
                      " machines blacklisted, cap is " + std::to_string(cap));
         }
@@ -253,8 +277,6 @@ void InvariantMonitor::HeavyChecks(double now) {
   for (const cluster::Machine& machine : cluster_->topology().machines()) {
     master::FuxiMaster* primary = primaries[static_cast<size_t>(
         cluster_->shard_of_machine(machine.id))];
-    std::string mtag = "m";
-    mtag += std::to_string(machine.id.value());
     agent::FuxiAgent* agent = cluster_->agent(machine.id);
     agent::ProcessHost* host = cluster_->host(machine.id);
 
@@ -269,11 +291,13 @@ void InvariantMonitor::HeavyChecks(double now) {
         Fold(static_cast<uint64_t>(promised.memory()));
         over = !promised.FitsIn(machine.capacity);
       }
-      Sustained("agent-overcommit:" + mtag, over, options_.overcommit_grace,
-                now,
-                "agent on machine " + std::to_string(machine.id.value()) +
-                    " holds capacity " + promised.ToString() +
-                    " above physical " + machine.capacity.ToString());
+      Sustained(
+          ConditionKey{ConditionKind::kAgentOvercommit, machine.id.value()},
+          over, options_.overcommit_grace, now, [&] {
+            return "agent on machine " + std::to_string(machine.id.value()) +
+                   " holds capacity " + promised.ToString() +
+                   " above physical " + machine.capacity.ToString();
+          });
     }
 
     if (shards > 1 && options_.check_shard_isolation) {
@@ -292,12 +316,14 @@ void InvariantMonitor::HeavyChecks(double now) {
           break;
         }
       }
-      Sustained("shard-isolation:" + mtag, foreign >= 0,
-                options_.split_brain_grace, now,
-                "machine " + std::to_string(machine.id.value()) +
-                    " owned by shard " + std::to_string(owner) +
-                    " is online in shard " + std::to_string(foreign) +
-                    "'s scheduler");
+      Sustained(
+          ConditionKey{ConditionKind::kShardIsolation, machine.id.value()},
+          foreign >= 0, options_.split_brain_grace, now, [&] {
+            return "machine " + std::to_string(machine.id.value()) +
+                   " owned by shard " + std::to_string(owner) +
+                   " is online in shard " + std::to_string(foreign) +
+                   "'s scheduler";
+          });
     }
 
     size_t alive = host->alive_count();
@@ -312,41 +338,63 @@ void InvariantMonitor::HeavyChecks(double now) {
     }
 
     if (options_.check_orphan_processes && app_live_) {
-      std::map<AppId, std::string> dead_app_processes;
-      for (const agent::Process* process : host->Alive()) {
-        if (!app_live_(process->app)) {
-          std::ostringstream entry;
-          entry << " w" << process->id.value() << "@am"
-                << process->owner_am.value() << " since t="
-                << process->started_at;
-          dead_app_processes[process->app] += entry.str();
-        }
-      }
-      for (const auto& [app, workers] : dead_app_processes) {
-        // Cleanup of strays the application master does not know about
-        // travels master -> agent (capacity revocation), so the clock
-        // only runs while a primary is elected; the window restarts
-        // when the control plane recovers from an outage.
-        std::ostringstream detail;
-        detail << "processes of finished app " << app.value()
-               << " still run on machine " << machine.id.value() << ":"
-               << workers;
-        Sustained(
-            "orphan-processes:" + mtag + ":app" + std::to_string(app.value()),
-            primary != nullptr, options_.orphan_grace, now, detail.str());
-      }
-      // Clear sustained trackers for apps that no longer have strays.
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        const std::string prefix = "orphan-processes:" + mtag + ":app";
-        if (it->first.rfind(prefix, 0) == 0) {
-          AppId app(std::stoll(it->first.substr(prefix.size())));
-          if (dead_app_processes.count(app) == 0) {
-            it = pending_.erase(it);
-            continue;
-          }
-        }
-        ++it;
-      }
+      CheckOrphans(now, machine.id, primary != nullptr);
+    }
+  }
+}
+
+void InvariantMonitor::CheckOrphans(double now, MachineId machine,
+                                    bool primary_elected) {
+  // Live processes come sorted by app, so each app is asked about once.
+  const std::vector<const agent::Process*>& live =
+      cluster_->host(machine)->AliveByApp();
+  std::vector<AppId> stray_apps;  // ascending; empty on a healthy machine
+  for (auto run = live.begin(); run != live.end();) {
+    AppId app = (*run)->app;
+    auto run_end = std::find_if(run, live.end(), [app](const auto* p) {
+      return p->app != app;
+    });
+    if (!app_live_(app)) {
+      stray_apps.push_back(app);
+      // Cleanup of strays the application master does not know about
+      // travels master -> agent (capacity revocation), so the clock
+      // only runs while a primary is elected; the window restarts
+      // when the control plane recovers from an outage.
+      Sustained(
+          ConditionKey{ConditionKind::kOrphanProcesses, machine.value(),
+                       app.value()},
+          primary_elected, options_.orphan_grace, now, [&] {
+            std::vector<const agent::Process*> strays(run, run_end);
+            std::sort(strays.begin(), strays.end(),
+                      [](const agent::Process* a, const agent::Process* b) {
+                        return a->id < b->id;
+                      });
+            std::ostringstream detail;
+            detail << "processes of finished app " << app.value()
+                   << " still run on machine " << machine.value() << ":";
+            for (const agent::Process* process : strays) {
+              detail << " w" << process->id.value() << "@am"
+                     << process->owner_am.value()
+                     << " since t=" << process->started_at;
+            }
+            return detail.str();
+          });
+    }
+    run = run_end;
+  }
+  // Drop the trackers of apps that have no strays here any more: the
+  // machine's (kOrphanProcesses, machine, *) run of `pending_`.
+  auto it = pending_.lower_bound(
+      ConditionKey{ConditionKind::kOrphanProcesses, machine.value(),
+                   std::numeric_limits<int64_t>::min()});
+  while (it != pending_.end() &&
+         it->first.kind == ConditionKind::kOrphanProcesses &&
+         it->first.subject == machine.value()) {
+    if (std::binary_search(stray_apps.begin(), stray_apps.end(),
+                           AppId(it->first.app))) {
+      ++it;
+    } else {
+      it = pending_.erase(it);
     }
   }
 }

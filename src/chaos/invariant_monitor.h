@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/ids.h"
@@ -129,20 +130,50 @@ class InvariantMonitor {
   std::string Summary() const;
 
  private:
+  /// Which sustained condition a tracker watches.
+  enum class ConditionKind : uint8_t {
+    kPrimaryWithoutLock,  ///< subject: master node
+    kSinglePrimary,       ///< subject: shard, -1 when unsharded
+    kAgentOvercommit,     ///< subject: machine
+    kShardIsolation,      ///< subject: machine
+    kOrphanProcesses,     ///< subject: machine, app: the finished app
+  };
+
+  /// A sustained condition's identity. Comparing it allocates nothing;
+  /// its text (`orphan-processes:m3:app2000`, the violation's invariant
+  /// name) is formatted only when the condition fires. Keys order by
+  /// kind, then subject, so one machine's orphan trackers form one
+  /// contiguous run of `pending_`.
+  struct ConditionKey {
+    ConditionKind kind;
+    int64_t subject = 0;
+    int64_t app = 0;
+
+    bool operator<(const ConditionKey& other) const {
+      return std::tie(kind, subject, app) <
+             std::tie(other.kind, other.subject, other.app);
+    }
+  };
+  static std::string KeyText(const ConditionKey& key);
+
   struct PendingCondition {
     double since = 0;
     bool fired = false;
-    std::string detail;
   };
 
   void OnEvent(double now);
   void CheapChecks(double now);
   void HeavyChecks(double now);
+  /// Orphan sweep of one machine: one tracker per finished app that
+  /// still has live processes there, and none for any other app.
+  void CheckOrphans(double now, MachineId machine, bool primary_elected);
   /// Sustained-condition tracker: `bad` must hold continuously for
   /// `grace` before a violation fires; it re-arms once the condition
-  /// clears.
-  void Sustained(const std::string& key, bool bad, double grace, double now,
-                 const std::string& detail);
+  /// clears. `detail()` returns the latest observation's text and runs
+  /// only when the violation fires, so a healthy check builds no string.
+  template <typename DetailFn>
+  void Sustained(const ConditionKey& key, bool bad, double grace, double now,
+                 const DetailFn& detail);
   void Record(double now, const std::string& invariant,
               const std::string& detail);
   void Fold(uint64_t value);
@@ -158,9 +189,12 @@ class InvariantMonitor {
   std::vector<uint64_t> last_shard_generation_;
   /// Machines owned by each shard (cached from the topology).
   std::vector<int64_t> shard_machine_count_;
+  /// Each shard's masters in cluster order, matched by election lease
+  /// at construction (a master's lease name never changes).
+  std::vector<std::vector<master::FuxiMaster*>> shard_masters_;
   uint64_t checks_ = 0;
   uint64_t hash_ = 1469598103934665603ull;  // FNV-1a offset basis
-  std::map<std::string, PendingCondition> pending_;
+  std::map<ConditionKey, PendingCondition> pending_;
   std::vector<Violation> violations_;
   std::string trace_dump_;
   std::string audit_dump_;

@@ -1,6 +1,8 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/strings.h"
 
@@ -25,23 +27,29 @@ double Histogram::Percentile(double q) const {
 
 std::vector<double> Histogram::PercentilesSnapshot(
     const std::vector<double>& quantiles) const {
+  // Same interpolation as Percentile(). A quantile needs only the order
+  // statistics at `lo` and `lo + 1`: nth_element places the first, and
+  // the second is the smallest value after it. That is linear per
+  // quantile and returns exactly what a fully sorted copy would.
   std::vector<double> out(quantiles.size(), 0.0);
   if (samples_.empty()) return out;
-  std::vector<double> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> order(samples_);
   for (size_t i = 0; i < quantiles.size(); ++i) {
     double q = quantiles[i];
     if (q <= 0) {
-      out[i] = sorted.front();
+      out[i] = *std::min_element(order.begin(), order.end());
     } else if (q >= 100) {
-      out[i] = sorted.back();
+      out[i] = *std::max_element(order.begin(), order.end());
     } else {
-      double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
+      double rank = q / 100.0 * static_cast<double>(order.size() - 1);
       size_t lo = static_cast<size_t>(rank);
       double frac = rank - static_cast<double>(lo);
-      out[i] = lo + 1 >= sorted.size()
-                   ? sorted.back()
-                   : sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+      auto nth = order.begin() + static_cast<std::ptrdiff_t>(lo);
+      std::nth_element(order.begin(), nth, order.end());
+      out[i] = lo + 1 >= order.size()
+                   ? *nth
+                   : *nth * (1.0 - frac) +
+                         *std::min_element(nth + 1, order.end()) * frac;
     }
   }
   return out;

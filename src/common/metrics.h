@@ -75,7 +75,8 @@ class Histogram {
   /// in-place sort Percentile() performs changes which elements later
   /// reservoir evictions replace, so an extra mid-run query would
   /// perturb end-of-run percentiles and break sampler-on/off replay
-  /// identity. One copy + sort serves all requested quantiles.
+  /// identity. One copy serves all requested quantiles, each found by
+  /// selection (linear), not by sorting the copy.
   std::vector<double> PercentilesSnapshot(
       const std::vector<double>& quantiles) const;
 

@@ -22,6 +22,13 @@ SimCluster::SimCluster(SimClusterOptions options)
       obs_(&sim_, options.obs),
       topology_(cluster::ClusterTopology::Build(options.topology)) {
   FUXI_CHECK(options_.shards >= 1);
+  if (options_.shards == 1) {
+    shard_locks_.push_back(master::FuxiMaster::kMasterLock);
+  } else {
+    for (int k = 0; k < options_.shards; ++k) {
+      shard_locks_.push_back(StrFormat("fuxi_master/shard%d", k));
+    }
+  }
   network_ = std::make_unique<net::Network>(&sim_, options_.network,
                                             options_.seed);
   network_->SetObservability(&obs_.trace, &obs_.metrics);
@@ -166,11 +173,6 @@ void SimCluster::Start() {
 }
 
 master::FuxiMaster* SimCluster::primary() { return shard_primary(0); }
-
-std::string SimCluster::shard_lock(int shard) const {
-  if (options_.shards == 1) return master::FuxiMaster::kMasterLock;
-  return StrFormat("fuxi_master/shard%d", shard);
-}
 
 master::FuxiMaster* SimCluster::shard_primary(int shard) {
   NodeId holder = locks_->Holder(shard_lock(shard));

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "agent/fuxi_agent.h"
@@ -91,8 +92,10 @@ class SimCluster {
     return static_cast<int>(machine.value() % options_.shards);
   }
   /// The election lease shard `shard` contends on (kMasterLock when the
-  /// cluster is unsharded).
-  std::string shard_lock(int shard) const;
+  /// cluster is unsharded). The names are built once at construction.
+  const std::string& shard_lock(int shard) const {
+    return shard_locks_[static_cast<size_t>(options_.shards == 1 ? 0 : shard)];
+  }
   /// Shard `shard`'s elected primary, or nullptr mid-election.
   master::FuxiMaster* shard_primary(int shard);
   /// Crashes shard `shard`'s current primary (no-op mid-election).
@@ -170,6 +173,8 @@ class SimCluster {
   std::unique_ptr<coord::LockService> locks_;
   coord::CheckpointStore checkpoint_;
   std::unique_ptr<dfs::FileSystem> dfs_;
+  /// shard_lock(k) for every shard (one kMasterLock entry unsharded).
+  std::vector<std::string> shard_locks_;
   std::vector<std::unique_ptr<master::FuxiMaster>> masters_;
   std::vector<std::unique_ptr<shard::ShardDirectory>> directories_;
   std::unique_ptr<shard::SubmissionRouter> router_;

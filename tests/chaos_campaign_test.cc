@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/campaign.h"
@@ -205,11 +206,21 @@ TEST_F(ScriptedChaosTest, MonitorCatchesDoubleGrantWhenRestoreIsSkipped) {
   // the monitor must flag once sustained.
   cluster.RunFor(30.0);
 
-  bool caught = false;
-  for (const Violation& violation : monitor.violations()) {
-    if (violation.invariant.rfind("agent-overcommit", 0) == 0) caught = true;
+  // Pinned in full: the monitor builds this text only when a condition
+  // fires, and it must read exactly as the always-formatting monitor's.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"agent-overcommit:m0",
+       "agent on machine 0 holds capacity cpu=400 memory=16384 above "
+       "physical cpu=400 memory=8192 (sustained since t=27.000000)"},
+      {"agent-overcommit:m1",
+       "agent on machine 1 holds capacity cpu=400 memory=16384 above "
+       "physical cpu=400 memory=8192 (sustained since t=27.000000)"},
+  };
+  ASSERT_EQ(monitor.violations().size(), expected.size()) << monitor.Summary();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(monitor.violations()[i].invariant, expected[i].first);
+    EXPECT_EQ(monitor.violations()[i].detail, expected[i].second);
   }
-  EXPECT_TRUE(caught) << monitor.Summary();
 }
 
 TEST_F(ScriptedChaosTest, NoViolationWhenFailoverRestoresGrants) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -310,6 +313,90 @@ TEST(HistogramTest, ShrinkingCapTruncatesAndZeroCapDisablesPercentiles) {
   EXPECT_DOUBLE_EQ(h.Percentile(50), 0);  // no buffer, documented zero
   EXPECT_EQ(h.count(), 1001u);
   EXPECT_DOUBLE_EQ(h.max(), 1000.0);
+}
+
+/// Reference: the percentiles read off a fully sorted copy.
+std::vector<double> SortedPercentiles(std::vector<double> samples,
+                                      const std::vector<double>& quantiles) {
+  std::vector<double> out(quantiles.size(), 0.0);
+  if (samples.empty()) return out;
+  std::sort(samples.begin(), samples.end());
+  for (size_t i = 0; i < quantiles.size(); ++i) {
+    double q = quantiles[i];
+    if (q <= 0) {
+      out[i] = samples.front();
+    } else if (q >= 100) {
+      out[i] = samples.back();
+    } else {
+      double rank = q / 100.0 * static_cast<double>(samples.size() - 1);
+      size_t lo = static_cast<size_t>(rank);
+      double frac = rank - static_cast<double>(lo);
+      out[i] = lo + 1 >= samples.size()
+                   ? samples.back()
+                   : samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
+    }
+  }
+  return out;
+}
+
+TEST(HistogramTest, PercentilesSnapshotMatchesSortedReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Sizes 1 and 2 come up on every tenth trial; small value ranges
+    // make duplicates common.
+    size_t size = trial % 10 == 0   ? 1
+                  : trial % 10 == 1 ? 2
+                                    : 1 + rng.Uniform(200);
+    int64_t range = trial % 3 == 0 ? 4 : 1000;
+    Histogram h;
+    std::vector<double> values;
+    for (size_t i = 0; i < size; ++i) {
+      double v = static_cast<double>(rng.UniformRange(1, range)) / 8.0;
+      h.Add(v);
+      values.push_back(v);
+    }
+    std::vector<double> quantiles = {0.0, 50.0, 99.0, 100.0,
+                                     rng.NextDouble() * 100.0, 25.0};
+    std::vector<double> got = h.PercentilesSnapshot(quantiles);
+    std::vector<double> want = SortedPercentiles(values, quantiles);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      // Bit-identical, not merely close: replays digest these values.
+      EXPECT_EQ(got[i], want[i])
+          << "trial " << trial << " size " << size << " q " << quantiles[i];
+    }
+  }
+}
+
+TEST(HistogramTest, PercentilesSnapshotOfFullReservoirMatchesPercentile) {
+  // Two histograms fed the same values; only `h` is snapshotted mid-run.
+  Histogram h;
+  Histogram twin;
+  h.SetSampleCap(64);
+  twin.SetSampleCap(64);
+  Rng rng(7);
+  auto add = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      double v = static_cast<double>(rng.Uniform(50));
+      h.Add(v);
+      twin.Add(v);
+    }
+  };
+  std::vector<double> quantiles = {0.0, 1.0, 50.0, 99.0, 100.0};
+  add(5000);
+  std::vector<double> got = h.PercentilesSnapshot(quantiles);
+  Histogram sorted_copy = twin;  // Percentile() sorts its own reservoir
+  for (size_t i = 0; i < quantiles.size(); ++i) {
+    EXPECT_EQ(got[i], sorted_copy.Percentile(quantiles[i]));
+  }
+  // The snapshot left h's reservoir order alone, so later evictions
+  // replace the same elements in both and the two still agree.
+  add(1000);
+  got = h.PercentilesSnapshot(quantiles);
+  sorted_copy = twin;
+  for (size_t i = 0; i < quantiles.size(); ++i) {
+    EXPECT_EQ(got[i], sorted_copy.Percentile(quantiles[i]));
+  }
 }
 
 TEST(TimeSeriesTest, DownsampleAveragesBuckets) {
