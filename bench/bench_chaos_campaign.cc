@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   int shards = 1;
   int tenants = 0;
   int tenant_depth = 2;
-  bool tenants_legacy = false;
   int jobs = 1;
   const char* sweep_metrics_path = nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -169,8 +168,6 @@ int main(int argc, char** argv) {
       tenants = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--tenant-depth") == 0 && i + 1 < argc) {
       tenant_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tenants-legacy") == 0) {
-      tenants_legacy = true;
     } else if (std::strcmp(argv[i], "--sweep-metrics") == 0 && i + 1 < argc) {
       sweep_metrics_path = argv[++i];
     } else {
@@ -178,7 +175,7 @@ int main(int argc, char** argv) {
                    "usage: %s [--seeds N] [--first S] [--seed S] "
                    "[--jobs N|max] [--seed-restore-bug] "
                    "[--serialize-on-send] [--shards N] "
-                   "[--tenants N] [--tenant-depth D] [--tenants-legacy] "
+                   "[--tenants N] [--tenant-depth D] "
                    "[--sweep-metrics PATH]\n",
                    argv[0]);
       return 2;
@@ -190,7 +187,6 @@ int main(int argc, char** argv) {
   config.cluster.network.serialize_on_send = serialize_on_send;
   config.tenants = tenants;
   config.tenant_depth = tenant_depth;
-  config.tenants_legacy = tenants_legacy;
   // Single-seed replays always export the decision audit so
   // fuxi_explain (including --tenant) has input even on PASS.
   config.dump_audit = single;

@@ -86,9 +86,7 @@ bool StarvationFreedomGate(const char* audit_path) {
   cluster::ClusterTopology topology = ContendedTopology();
   resource::Scheduler scheduler(&topology);
   obs::AuditLog audit(nullptr, nullptr);
-  if (audit_path != nullptr && obs::AuditLog::enabled()) {
-    scheduler.set_audit(&audit);
-  }
+  if (audit_path != nullptr) scheduler.set_audit(&audit);
 
   trace::TenantPopulationOptions options;
   options.tenants = 1000;
@@ -158,15 +156,11 @@ bool StarvationFreedomGate(const char* audit_path) {
   std::printf("starved tenants after %d rounds: %zu -> %s\n", rounds, starved,
               ok ? "PASS" : "FAIL");
   if (audit_path != nullptr) {
-    if (obs::AuditLog::enabled()) {
-      std::ofstream out(audit_path, std::ios::binary);
-      out << obs::ExportAuditJson(audit.Snapshot());
-      std::printf("decision-audit dump written to %s (query with "
-                  "fuxi_explain --tenant)\n",
-                  audit_path);
-    } else {
-      std::printf("audit compiled out (FUXI_OBS_AUDIT=0); no dump written\n");
-    }
+    std::ofstream out(audit_path, std::ios::binary);
+    out << obs::ExportAuditJson(audit.Snapshot());
+    std::printf("decision-audit dump written to %s (query with "
+                "fuxi_explain --tenant)\n",
+                audit_path);
   }
   return ok;
 }

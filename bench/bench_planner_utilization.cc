@@ -34,7 +34,6 @@
 #include "common/rng.h"
 #include "obs/audit.h"
 #include "obs/metrics_registry.h"
-#include "planner/planner.h"
 #include "resource/scheduler.h"
 #include "sim/simulator.h"
 
@@ -263,7 +262,7 @@ RunStats RunTrace(const std::vector<TraceJob>& trace, int machines,
     now += kDt;
   }
 
-  if (planned && audit_path != nullptr && obs::AuditLog::enabled()) {
+  if (planned && audit_path != nullptr) {
     std::ofstream out(audit_path);
     out << obs::ExportAuditJson(audit.Snapshot());
     std::fprintf(stderr, "planner audit dump written to %s\n", audit_path);
@@ -334,37 +333,30 @@ int main(int argc, char** argv) {
               Percentile(greedy.large_waits, 0.99),
               Percentile(planner.large_waits, 0.99));
 
-  if (planner::ClusterPlanner::enabled()) {
-    std::printf("\nplanner metrics (satellite check):\n");
-    for (const auto& [name, counter] : metrics.counters()) {
-      if (name.rfind("planner.", 0) == 0) {
-        std::printf("  %-32s %10lu\n", name.c_str(),
-                    static_cast<unsigned long>(counter->value()));
-      }
+  std::printf("\nplanner metrics (satellite check):\n");
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (name.rfind("planner.", 0) == 0) {
+      std::printf("  %-32s %10lu\n", name.c_str(),
+                  static_cast<unsigned long>(counter->value()));
     }
-    for (const auto& [name, gauge] : metrics.gauges()) {
-      if (name.rfind("planner.", 0) == 0) {
-        std::printf("  %-32s %10.0f\n", name.c_str(), gauge->value());
-      }
+  }
+  for (const auto& [name, gauge] : metrics.gauges()) {
+    if (name.rfind("planner.", 0) == 0) {
+      std::printf("  %-32s %10.0f\n", name.c_str(), gauge->value());
     }
-    for (const auto& [name, histogram] : metrics.histograms()) {
-      if (name.rfind("planner.", 0) == 0) {
-        std::printf("  %-32s count=%lu p50=%.1f\n", name.c_str(),
-                    static_cast<unsigned long>(histogram->count()),
-                    histogram->Percentile(0.5));
-      }
+  }
+  for (const auto& [name, histogram] : metrics.histograms()) {
+    if (name.rfind("planner.", 0) == 0) {
+      std::printf("  %-32s count=%lu p50=%.1f\n", name.c_str(),
+                  static_cast<unsigned long>(histogram->count()),
+                  histogram->Percentile(0.5));
     }
-  } else {
-    std::printf("\n(FUXI_PLANNER=OFF build: planner mode == greedy)\n");
   }
 
-  bool ok = true;
-  if (planner::ClusterPlanner::enabled()) {
-    ok = planner.cpu_utilization > greedy.cpu_utilization &&
-         Percentile(planner.large_waits, 0.99) <
-             Percentile(greedy.large_waits, 0.99);
-    std::printf("\n%s\n", ok ? "PLANNER WINS ON BOTH AXES"
-                             : "PLANNER DID NOT IMPROVE — regression");
-  }
+  bool ok = planner.cpu_utilization > greedy.cpu_utilization &&
+            Percentile(planner.large_waits, 0.99) <
+                Percentile(greedy.large_waits, 0.99);
+  std::printf("\n%s\n", ok ? "PLANNER WINS ON BOTH AXES"
+                           : "PLANNER DID NOT IMPROVE — regression");
   return ok ? 0 : 1;
 }

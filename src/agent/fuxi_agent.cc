@@ -384,7 +384,7 @@ int64_t FuxiAgent::CapacityOf(AppId app, uint32_t slot_id) const {
 }
 
 void FuxiAgent::AuditKill(AppId app, uint32_t slot_id, const char* cause) {
-  if (!obs::AuditLog::enabled() || audit_ == nullptr) return;
+  if (audit_ == nullptr) return;
   obs::DecisionRecord rec;
   rec.kind = obs::DecisionKind::kAgentKill;
   rec.app = app.value();

@@ -131,8 +131,7 @@ class FuxiAgent : public sim::Actor {
   void set_audit(obs::AuditLog* audit) { audit_ = audit; }
 
  private:
-  /// Commits one kAgentKill decision record (no-op when detached or
-  /// compiled out).
+  /// Commits one kAgentKill decision record (no-op when detached).
   void AuditKill(AppId app, uint32_t slot_id, const char* cause);
 
   struct CapacityEntry {

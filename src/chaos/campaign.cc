@@ -50,13 +50,12 @@ uint64_t ReplayDigest(const CampaignResult& result) {
 /// The standard SLO rule set every campaign runs under: one rule per
 /// degradation mode the paper's operators watched for. Declarative
 /// policy over the telemetry series the cluster publishes; with
-/// telemetry compiled out AddRule is a no-op and the whole set folds
-/// away. Thresholds are deliberately conservative — a firing is a
+/// telemetry disabled the rules are installed but never evaluated.
+/// Thresholds are deliberately conservative — a firing is a
 /// degradation signal, not a failure — and every series watched is
 /// virtual-time deterministic, so the event log replays byte-identically
 /// from a seed.
-template <typename Watchdog>
-void InstallStandardSloRules(Watchdog& watchdog) {
+void InstallStandardSloRules(obs::SloWatchdog& watchdog) {
   obs::SloRule starvation;
   starvation.name = "demand-starvation";
   starvation.series = "master.request_backlog";
@@ -176,17 +175,11 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
         trace::MakeTenantPopulation(seed, capacity, tenant_options);
     for (const trace::TenantPopulation::Node& node :
          tenant_population.nodes) {
-      if (config.tenants_legacy && config.tenant_depth <= 1) {
-        // Flat populations can ride the legacy quota_groups option; the
-        // CI equivalence leg diffs this against the tree-configured run.
-        options.master.quota_groups.emplace_back(node.path, node.guarantee);
-      } else {
-        master::FuxiMasterOptions::TenantNode tenant;
-        tenant.path = node.path;
-        tenant.guarantee = node.guarantee;
-        tenant.weight = node.weight;
-        options.master.tenants.push_back(std::move(tenant));
-      }
+      master::FuxiMasterOptions::TenantNode tenant;
+      tenant.path = node.path;
+      tenant.guarantee = node.guarantee;
+      tenant.weight = node.weight;
+      options.master.tenants.push_back(std::move(tenant));
     }
   }
   auto tenant_of =
@@ -293,9 +286,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
     apps.back()->StartMaster();
   }
   // fuxi::planner workload: gang apps whose single stage is an
-  // all-or-nothing worker set with a lifetime estimate. Under
-  // FUXI_PLANNER=0 builds the hints are dropped at the scheduler
-  // boundary and these run as ordinary apps.
+  // all-or-nothing worker set with a lifetime estimate.
   for (int i = 0; i < config.planner_apps; ++i) {
     AppId app_id(2000 + i);
     runtime::SyntheticStage stage;

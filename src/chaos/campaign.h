@@ -33,8 +33,7 @@ struct CampaignConfig {
   /// a gang (all-or-nothing worker set with a lifetime estimate).
   /// Default 0 — the legacy campaigns and their golden digests never
   /// see a planner. Pair with plan.planner_faults for the planner
-  /// chaos scenario. Under FUXI_PLANNER=0 builds the hints are dropped
-  /// at the scheduler boundary and these apps run as legacy apps.
+  /// chaos scenario.
   int planner_apps = 0;
   /// Multi-tenant fair-share chaos: when > 0, every master is
   /// configured with a tenant tree of this many leaf tenants (depth
@@ -44,11 +43,6 @@ struct CampaignConfig {
   /// golden digests — byte-identical.
   int tenants = 0;
   int tenant_depth = 2;
-  /// Depth-1 populations only: configure the tenants through the
-  /// legacy flat `quota_groups` option instead of the tenant-tree
-  /// option. A flat population driven both ways must produce
-  /// byte-identical campaign digests — the CI equivalence leg.
-  bool tenants_legacy = false;
   /// Election + first heartbeats settle before submission.
   double warmup = 3.0;
   CampaignPlanOptions plan;
@@ -104,7 +98,7 @@ struct CampaignResult {
   /// Virtual-time telemetry dump (obs::ExportTelemetryJson): every
   /// sampled series delta-encoded plus the watchdog event log — the
   /// input for tools/fuxi_dash. Captured whenever the sampler ran;
-  /// empty when telemetry is compiled out or runtime-disabled. Like
+  /// empty when telemetry is disabled. Like
   /// metrics_csv it is NOT folded into replay_digest: deterministic
   /// series are compared separately by the telemetry battery, and the
   /// dump also carries realtime-tagged (wall-clock) series.

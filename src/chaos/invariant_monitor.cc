@@ -80,12 +80,10 @@ void InvariantMonitor::Record(double now, const std::string& invariant,
   if (violations_.size() >= options_.max_violations) return;
   FUXI_LOG(kWarning) << "invariant violated at t=" << now << ": "
                      << invariant << " (" << detail << ")";
-  if (violations_.empty() && obs::kTracingEnabled) {
+  if (violations_.empty()) {
     // Dump the flight recorder NOW, before the traffic that follows the
     // first failure overwrites the causal history that produced it.
     trace_dump_ = obs::ExportChromeTrace(cluster_->obs().trace.Snapshot());
-  }
-  if (violations_.empty() && obs::kAuditEnabled) {
     // Same urgency for the decision audit: the ring must be frozen
     // before post-failure scheduling overwrites the decisions at fault.
     audit_dump_ = obs::ExportAuditJson(cluster_->obs().audit.Snapshot());

@@ -113,14 +113,13 @@ class InvariantMonitor {
   /// Chrome trace_event JSON dumped from the cluster's flight recorder
   /// the instant the FIRST violation fired — the causal message history
   /// leading up to the failure, before later traffic overwrites the
-  /// ring. Empty while no violation has been recorded (or when tracing
-  /// is compiled out).
+  /// ring. Empty while no violation has been recorded.
   const std::string& trace_dump() const { return trace_dump_; }
 
   /// Decision-audit JSON (obs::ExportAuditJson) dumped at the same
   /// instant as trace_dump: the scheduling decisions leading up to the
   /// first violation, ready for tools/fuxi_explain. Empty while no
-  /// violation has been recorded (or when audit is compiled out).
+  /// violation has been recorded.
   const std::string& audit_dump() const { return audit_dump_; }
 
   uint64_t heavy_checks_run() const { return checks_; }

@@ -171,10 +171,6 @@ void FuxiMaster::BecomePrimary() {
     scheduler_->set_metrics(&obs_->metrics);
     scheduler_->set_audit(&obs_->audit);
   }
-  for (const auto& [name, quota] : options_.quota_groups) {
-    Status s = scheduler_->CreateQuotaGroup(name, quota);
-    FUXI_CHECK(s.ok()) << s.ToString();
-  }
   for (const FuxiMasterOptions::TenantNode& tenant : options_.tenants) {
     Status s = scheduler_->CreateTenantNode(tenant.path, tenant.guarantee,
                                             tenant.weight,
@@ -881,7 +877,7 @@ void FuxiMaster::SendShardStatus() {
 
 void FuxiMaster::AuditMachineEvent(MachineId machine,
                                    const std::string& note) {
-  if (!obs::AuditLog::enabled() || obs_ == nullptr) return;
+  if (obs_ == nullptr) return;
   obs::DecisionRecord rec;
   rec.kind = obs::DecisionKind::kMachineEvent;
   rec.machine = machine.value();

@@ -53,13 +53,11 @@ struct FuxiMasterOptions {
   /// the double-grant failover bug the chaos InvariantMonitor must
   /// catch; production behaviour is `true`.
   bool failover_restore_grants = true;
-  /// Quota groups to create on election (cluster configuration). Legacy
-  /// flat form: each name becomes a root-level node of the fair-share
-  /// tree with default weight and no preemption budget.
-  std::vector<std::pair<std::string, cluster::ResourceVector>> quota_groups;
-  /// Hierarchical tenant tree to create on election, applied after
-  /// `quota_groups`. Paths are slash-separated ("tenant/org/user");
-  /// missing ancestors appear as unbounded structural nodes.
+  /// Hierarchical tenant tree to create on election (cluster
+  /// configuration). Paths are slash-separated ("tenant/org/user");
+  /// missing ancestors appear as unbounded structural nodes. A flat
+  /// quota group is a single-segment path with default weight and no
+  /// preemption budget.
   struct TenantNode {
     std::string path;
     cluster::ResourceVector guarantee;

@@ -324,9 +324,8 @@ class Network {
 
   Config* mutable_config() { return &config_; }
 
-  /// Wires tracing and metrics in. Either may be null; hot paths guard
-  /// with one pointer test (and with tracing compiled out the recorder
-  /// calls are no-ops the optimizer removes entirely).
+  /// Wires tracing and metrics in. Either may be null (a null tracer
+  /// turns message tracing off); hot paths guard with one pointer test.
   void SetObservability(obs::TraceRecorder* tracer,
                         obs::MetricsRegistry* metrics) {
     tracer_ = tracer;

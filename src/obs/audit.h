@@ -1,7 +1,6 @@
 #ifndef FUXI_OBS_AUDIT_H_
 #define FUXI_OBS_AUDIT_H_
 
-#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -12,18 +11,7 @@
 #include "obs/trace.h"
 #include "sim/simulator.h"
 
-// Compile-time audit switch, mirroring FUXI_OBS_TRACING: the build
-// defines FUXI_OBS_AUDIT=0/1 (CMake option FUXI_OBS_AUDIT, default ON);
-// when OFF, AuditLog aliases NoopAuditLog and every call site — guarded
-// by `AuditLog::enabled()`, a constexpr false — compiles away entirely,
-// including the DecisionRecord assembly in the scheduler hot paths.
-#ifndef FUXI_OBS_AUDIT
-#define FUXI_OBS_AUDIT 1
-#endif
-
 namespace fuxi::obs {
-
-inline constexpr bool kAuditEnabled = FUXI_OBS_AUDIT != 0;
 
 /// What kind of decision a record documents.
 enum class DecisionKind : uint8_t {
@@ -118,14 +106,14 @@ struct DecisionRecord {
 /// observational: committing a record never touches scheduler state, so
 /// attaching or detaching the log cannot change any SchedulingResult
 /// (the decision-neutrality contract, enforced by the differential
-/// suite's audit-on/off byte-identical comparison).
-class AuditLogImpl {
+/// suite's audit-on/off byte-identical comparison). Auditing is off
+/// when no log is attached: every emitter holds a nullable AuditLog*
+/// and assembles records only when it is set.
+class AuditLog {
  public:
-  AuditLogImpl(sim::Simulator* sim, TraceRecorder* trace,
-               size_t capacity = kDefaultCapacity)
+  AuditLog(sim::Simulator* sim, TraceRecorder* trace,
+           size_t capacity = kDefaultCapacity)
       : sim_(sim), trace_(trace), ring_(capacity) {}
-
-  static constexpr bool enabled() { return true; }
 
   /// Stamps id / virtual time / ambient trace span and retains the
   /// record (oldest-first eviction once the ring is full).
@@ -156,44 +144,6 @@ class AuditLogImpl {
   uint64_t next_id_ = 1;  // 0 is "no record"
   BoundedRing<DecisionRecord> ring_;
 };
-
-/// The compiled-out stand-in: identical surface, every member an empty
-/// inline, and enabled() a constexpr false so guarded record-assembly
-/// blocks fold away entirely.
-class NoopAuditLog {
- public:
-  NoopAuditLog(sim::Simulator*, TraceRecorder*, size_t = 0) {}
-
-  static constexpr bool enabled() { return false; }
-  void Commit(DecisionRecord&&) {}
-  std::vector<DecisionRecord> Snapshot() const { return {}; }
-  uint64_t records_committed() const { return 0; }
-  uint64_t overwritten() const { return 0; }
-  size_t capacity() const { return 0; }
-  void Clear() {}
-};
-
-/// Compile-time interface contract: both logs must stay drop-in
-/// interchangeable so flipping FUXI_OBS_AUDIT can never break a call
-/// site only exercised in the other configuration.
-template <typename A>
-concept AuditSink = requires(A a, DecisionRecord r) {
-  a.Commit(std::move(r));
-  { a.Snapshot() } -> std::convertible_to<std::vector<DecisionRecord>>;
-  { a.records_committed() } -> std::convertible_to<uint64_t>;
-  { A::enabled() } -> std::convertible_to<bool>;
-  a.Clear();
-};
-static_assert(AuditSink<AuditLogImpl>,
-              "AuditLogImpl must satisfy AuditSink");
-static_assert(AuditSink<NoopAuditLog>,
-              "NoopAuditLog must satisfy AuditSink");
-
-#if FUXI_OBS_AUDIT
-using AuditLog = AuditLogImpl;
-#else
-using AuditLog = NoopAuditLog;
-#endif
 
 // --- export / import ---------------------------------------------------
 

@@ -85,20 +85,6 @@ Json MetricsToJson(const MetricsRegistry& registry) {
     histograms[name] = std::move(h);
   }
   doc["histograms"] = std::move(histograms);
-  if (!registry.all_series().empty()) {
-    Json series = Json::MakeObject();
-    for (const auto& [name, ts] : registry.all_series()) {
-      Json points = Json::MakeArray();
-      for (const TimeSeries::Point& p : ts.points()) {
-        Json pt = Json::MakeArray();
-        pt.Append(p.time);
-        pt.Append(p.value);
-        points.Append(std::move(pt));
-      }
-      series[name] = std::move(points);
-    }
-    doc["series"] = std::move(series);
-  }
   return doc;
 }
 

@@ -21,7 +21,7 @@ std::string ExportChromeTrace(const std::vector<SpanRecord>& spans);
 /// dump instead of writing it to disk.
 Json ChromeTraceJson(const std::vector<SpanRecord>& spans);
 
-/// All instruments (and any snapshot series) as one JSON object.
+/// All instruments as one JSON object.
 Json MetricsToJson(const MetricsRegistry& registry);
 
 /// "kind,name,value,..." CSV — one row per instrument, sorted by name.

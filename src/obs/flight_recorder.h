@@ -90,7 +90,7 @@ class BoundedRing {
   std::vector<Record> ring_;
 };
 
-/// The span black box kept by TraceRecorderImpl.
+/// The span black box kept by TraceRecorder.
 using FlightRecorder = BoundedRing<SpanRecord>;
 
 }  // namespace fuxi::obs

@@ -20,18 +20,4 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return slot.get();
 }
 
-void MetricsRegistry::SnapshotAt(double now) {
-  for (const auto& [name, counter] : counters_) {
-    series_[name].Add(now, static_cast<double>(counter->value()));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    series_[name].Add(now, gauge->value());
-  }
-}
-
-const TimeSeries* MetricsRegistry::series(const std::string& name) const {
-  auto it = series_.find(name);
-  return it == series_.end() ? nullptr : &it->second;
-}
-
 }  // namespace fuxi::obs

@@ -38,9 +38,9 @@ class Gauge {
 /// a name once at wiring time and afterwards touch only the instrument
 /// — no map lookup, no string hashing per event.
 ///
-/// Backed by std::map so every export and snapshot iterates in sorted
-/// name order — deterministic output for golden files and replay
-/// comparison.
+/// Backed by std::map so every export iterates in sorted name order —
+/// deterministic output for golden files and replay comparison. Time
+/// series of these instruments come from obs::TelemetrySampler.
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);
@@ -48,10 +48,6 @@ class MetricsRegistry {
   /// Histograms default to the capped reservoir buffer (see
   /// Histogram::SetSampleCap) so long campaigns stay bounded.
   Histogram* GetHistogram(const std::string& name);
-
-  /// Appends the current value of every counter and gauge to its
-  /// virtual-time series (one point per instrument per call).
-  void SnapshotAt(double now);
 
   /// Tags an instrument as carrying *real* wall-clock measurements
   /// (e.g. master.schedule_wall_us). Realtime instruments legitimately
@@ -73,17 +69,11 @@ class MetricsRegistry {
       const {
     return histograms_;
   }
-  /// Snapshot series for an instrument; null before the first SnapshotAt.
-  const TimeSeries* series(const std::string& name) const;
-  const std::map<std::string, TimeSeries>& all_series() const {
-    return series_;
-  }
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, TimeSeries> series_;
   std::set<std::string> realtime_;
 };
 

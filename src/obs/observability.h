@@ -12,9 +12,9 @@ namespace fuxi::obs {
 
 struct ObsOptions {
   /// Completed spans retained by the flight recorder ring.
-  size_t trace_ring_capacity = TraceRecorderImpl::kDefaultRingCapacity;
+  size_t trace_ring_capacity = TraceRecorder::kDefaultRingCapacity;
   /// Decision records retained by the audit ring.
-  size_t audit_ring_capacity = AuditLogImpl::kDefaultCapacity;
+  size_t audit_ring_capacity = AuditLog::kDefaultCapacity;
   /// Virtual-time sampler + SLO watchdog configuration.
   TelemetryOptions telemetry;
 };
@@ -31,7 +31,7 @@ struct Observability {
         telemetry(&metrics, options.telemetry),
         watchdog(&trace, &audit, options.telemetry.max_events) {
     // Every sample tick runs the watchdog's rules; with telemetry
-    // compiled out both sides are no-ops and the lambda never fires.
+    // disabled the sampler never ticks and the lambda never fires.
     telemetry.SetOnSample(
         [this](double now) { watchdog.Evaluate(telemetry, now); });
   }

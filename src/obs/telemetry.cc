@@ -88,9 +88,9 @@ std::vector<int64_t> TelemetrySeries::DeltasInOrder() const {
   return out;
 }
 
-TelemetrySeries& TelemetrySamplerImpl::Slot(const std::string& name,
-                                            TelemetrySeries::Kind kind,
-                                            bool realtime) {
+TelemetrySeries& TelemetrySampler::Slot(const std::string& name,
+                                        TelemetrySeries::Kind kind,
+                                        bool realtime) {
   auto it = series_.find(name);
   if (it == series_.end()) {
     it = series_
@@ -101,7 +101,7 @@ TelemetrySeries& TelemetrySamplerImpl::Slot(const std::string& name,
   return it->second;
 }
 
-void TelemetrySamplerImpl::SampleTick(int64_t tick) {
+void TelemetrySampler::SampleTick(int64_t tick) {
   for (const auto& [name, counter] : metrics_->counters()) {
     Slot(name, TelemetrySeries::Kind::kCounter, metrics_->is_realtime(name))
         .Append(tick, static_cast<double>(counter->value()));
@@ -155,8 +155,7 @@ void TelemetrySamplerImpl::SampleTick(int64_t tick) {
   if (on_sample_) on_sample_(TickTime(tick));
 }
 
-void SloWatchdogImpl::Evaluate(const TelemetrySamplerImpl& sampler,
-                               double now) {
+void SloWatchdog::Evaluate(const TelemetrySampler& sampler, double now) {
   for (size_t i = 0; i < rules_.size(); ++i) {
     const SloRule& rule = rules_[i];
     RuleState& state = states_[i];
@@ -216,7 +215,7 @@ void SloWatchdogImpl::Evaluate(const TelemetrySamplerImpl& sampler,
   }
 }
 
-void SloWatchdogImpl::Fire(const SloRule& rule, double now, double value) {
+void SloWatchdog::Fire(const SloRule& rule, double now, double value) {
   if (events_.size() < max_events_) {
     events_.push_back(HealthEvent{now, rule.name, rule.series, value,
                                   rule.threshold, rule.detail});
@@ -241,8 +240,8 @@ void SloWatchdogImpl::Fire(const SloRule& rule, double now, double value) {
 
 // --- export / import ---------------------------------------------------
 
-Json TelemetryJson(const TelemetrySamplerImpl& sampler,
-                   const SloWatchdogImpl& watchdog, bool include_realtime) {
+Json TelemetryJson(const TelemetrySampler& sampler,
+                   const SloWatchdog& watchdog, bool include_realtime) {
   Json doc = Json::MakeObject();
   doc["fuxi_telemetry"] = 1;
   doc["interval"] = sampler.interval();
@@ -280,8 +279,8 @@ Json TelemetryJson(const TelemetrySamplerImpl& sampler,
   return doc;
 }
 
-std::string ExportTelemetryJson(const TelemetrySamplerImpl& sampler,
-                                const SloWatchdogImpl& watchdog,
+std::string ExportTelemetryJson(const TelemetrySampler& sampler,
+                                const SloWatchdog& watchdog,
                                 bool include_realtime) {
   return TelemetryJson(sampler, watchdog, include_realtime).Dump();
 }

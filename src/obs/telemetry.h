@@ -14,22 +14,10 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
-// Compile-time telemetry switch, mirroring FUXI_OBS_TRACING /
-// FUXI_OBS_AUDIT: the build defines FUXI_OBS_TELEMETRY=0/1 (CMake
-// option FUXI_OBS_TELEMETRY, default ON); when OFF, TelemetrySampler /
-// SloWatchdog alias their no-op stand-ins and the whole sampling layer
-// — probes, rules, ring buffers — compiles away.
-#ifndef FUXI_OBS_TELEMETRY
-#define FUXI_OBS_TELEMETRY 1
-#endif
-
 namespace fuxi::obs {
 
-inline constexpr bool kTelemetryEnabled = FUXI_OBS_TELEMETRY != 0;
-
 struct TelemetryOptions {
-  /// Runtime master switch (the compile-time switch is
-  /// FUXI_OBS_TELEMETRY). When false the sampler never attaches to the
+  /// Master switch. When false the sampler never attaches to the
   /// simulator and Poll() returns immediately.
   bool enabled = true;
   /// Virtual seconds between samples. Sample k lands at exactly
@@ -159,14 +147,13 @@ struct HealthEvent {
 /// PercentilesSnapshot, which never reorders the reservoir), so a
 /// sampler attached or detached can never change simulation state,
 /// replay digests, or end-of-run metric exports.
-class TelemetrySamplerImpl {
+class TelemetrySampler {
  public:
-  TelemetrySamplerImpl(MetricsRegistry* metrics,
-                       const TelemetryOptions& options = {})
+  TelemetrySampler(MetricsRegistry* metrics,
+                   const TelemetryOptions& options = {})
       : metrics_(metrics), options_(options) {}
 
-  static constexpr bool enabled() { return true; }
-  /// Runtime switch state (compile-time ON builds can still disable).
+  /// TelemetryOptions::enabled: false means the sampler is detached.
   bool active() const { return options_.enabled; }
   const TelemetryOptions& options() const { return options_; }
   double interval() const { return options_.interval; }
@@ -243,13 +230,10 @@ class TelemetrySamplerImpl {
 /// every tick and raises HealthEvents while the run is still going —
 /// degradation becomes visible *before* an invariant trips. Strictly
 /// observational like the sampler.
-class SloWatchdogImpl {
+class SloWatchdog {
  public:
-  SloWatchdogImpl(TraceRecorder* trace, AuditLog* audit,
-                  size_t max_events = 512)
+  SloWatchdog(TraceRecorder* trace, AuditLog* audit, size_t max_events = 512)
       : trace_(trace), audit_(audit), max_events_(max_events) {}
-
-  static constexpr bool enabled() { return true; }
 
   void AddRule(const SloRule& rule) {
     rules_.push_back(rule);
@@ -259,7 +243,7 @@ class SloWatchdogImpl {
 
   /// Runs every rule against the sampler's current series; `now` is the
   /// sample tick's virtual time.
-  void Evaluate(const TelemetrySamplerImpl& sampler, double now);
+  void Evaluate(const TelemetrySampler& sampler, double now);
 
   const std::vector<HealthEvent>& events() const { return events_; }
   uint64_t events_dropped() const { return events_dropped_; }
@@ -291,92 +275,6 @@ class SloWatchdogImpl {
   uint64_t events_dropped_ = 0;
 };
 
-/// Compiled-out stand-ins: identical surfaces, every member an empty
-/// inline, enabled() constexpr false so guarded blocks fold away.
-class NoopTelemetrySampler {
- public:
-  NoopTelemetrySampler(MetricsRegistry*, const TelemetryOptions& = {}) {}
-
-  static constexpr bool enabled() { return false; }
-  bool active() const { return false; }
-  const TelemetryOptions& options() const {
-    static const TelemetryOptions kNone{};
-    return kNone;
-  }
-  double interval() const { return 0; }
-  void AddProbe(const std::string&, std::function<double()>) {}
-  void AddRate(const std::string&) {}
-  void SetOnSample(std::function<void(double)>) {}
-  void Poll(double) {}
-  int64_t samples_taken() const { return 0; }
-  double TickTime(int64_t) const { return 0; }
-  const TelemetrySeries* series(const std::string&) const { return nullptr; }
-  const std::map<std::string, TelemetrySeries>& all_series() const {
-    static const std::map<std::string, TelemetrySeries> kNone;
-    return kNone;
-  }
-};
-
-class NoopSloWatchdog {
- public:
-  NoopSloWatchdog(TraceRecorder*, AuditLog*, size_t = 0) {}
-
-  static constexpr bool enabled() { return false; }
-  void AddRule(const SloRule&) {}
-  size_t rule_count() const { return 0; }
-  void Evaluate(const NoopTelemetrySampler&, double) {}
-  const std::vector<HealthEvent>& events() const {
-    static const std::vector<HealthEvent> kNone;
-    return kNone;
-  }
-  uint64_t events_dropped() const { return 0; }
-  void Clear() {}
-};
-
-/// Compile-time interface contracts, like TraceSink / AuditSink:
-/// flipping FUXI_OBS_TELEMETRY can never break a call site only
-/// exercised in the other configuration.
-template <typename S>
-concept TelemetrySink = requires(S s, const std::string& n,
-                                 std::function<double()> p,
-                                 std::function<void(double)> cb) {
-  s.AddProbe(n, p);
-  s.AddRate(n);
-  s.SetOnSample(cb);
-  s.Poll(0.0);
-  { s.active() } -> std::convertible_to<bool>;
-  { s.samples_taken() } -> std::convertible_to<int64_t>;
-  { s.series(n) } -> std::convertible_to<const TelemetrySeries*>;
-  { S::enabled() } -> std::convertible_to<bool>;
-};
-static_assert(TelemetrySink<TelemetrySamplerImpl>,
-              "TelemetrySamplerImpl must satisfy TelemetrySink");
-static_assert(TelemetrySink<NoopTelemetrySampler>,
-              "NoopTelemetrySampler must satisfy TelemetrySink");
-
-template <typename W>
-concept WatchdogSink = requires(W w, const SloRule& r) {
-  w.AddRule(r);
-  { w.rule_count() } -> std::convertible_to<size_t>;
-  { w.events() } ->
-      std::convertible_to<const std::vector<HealthEvent>&>;
-  { w.events_dropped() } -> std::convertible_to<uint64_t>;
-  { W::enabled() } -> std::convertible_to<bool>;
-  w.Clear();
-};
-static_assert(WatchdogSink<SloWatchdogImpl>,
-              "SloWatchdogImpl must satisfy WatchdogSink");
-static_assert(WatchdogSink<NoopSloWatchdog>,
-              "NoopSloWatchdog must satisfy WatchdogSink");
-
-#if FUXI_OBS_TELEMETRY
-using TelemetrySampler = TelemetrySamplerImpl;
-using SloWatchdog = SloWatchdogImpl;
-#else
-using TelemetrySampler = NoopTelemetrySampler;
-using SloWatchdog = NoopSloWatchdog;
-#endif
-
 // --- export / import ---------------------------------------------------
 
 /// The whole sampler state — every series delta-encoded, plus the
@@ -384,21 +282,11 @@ using SloWatchdog = NoopSloWatchdog;
 /// `include_realtime=false` drops realtime-tagged series (and derived
 /// percentile series of realtime histograms): what remains must be
 /// byte-identical across --jobs values and repeat runs of a seed.
-Json TelemetryJson(const TelemetrySamplerImpl& sampler,
-                   const SloWatchdogImpl& watchdog,
+Json TelemetryJson(const TelemetrySampler& sampler, const SloWatchdog& watchdog,
                    bool include_realtime = true);
-std::string ExportTelemetryJson(const TelemetrySamplerImpl& sampler,
-                                const SloWatchdogImpl& watchdog,
+std::string ExportTelemetryJson(const TelemetrySampler& sampler,
+                                const SloWatchdog& watchdog,
                                 bool include_realtime = true);
-
-inline Json TelemetryJson(const NoopTelemetrySampler&, const NoopSloWatchdog&,
-                          bool = true) {
-  return Json::MakeObject();
-}
-inline std::string ExportTelemetryJson(const NoopTelemetrySampler&,
-                                       const NoopSloWatchdog&, bool = true) {
-  return std::string();
-}
 
 /// A parsed telemetry dump with series decoded back to plain values —
 /// what tools/fuxi_dash and the tests consume.

@@ -6,12 +6,10 @@
 
 namespace fuxi::obs {
 
-TraceRecorderImpl::TraceRecorderImpl(sim::Simulator* sim,
-                                     size_t ring_capacity)
+TraceRecorder::TraceRecorder(sim::Simulator* sim, size_t ring_capacity)
     : sim_(sim), flight_(ring_capacity) {}
 
-uint64_t TraceRecorderImpl::BeginSpan(const char* category,
-                                      const char* name) {
+uint64_t TraceRecorder::BeginSpan(const char* category, const char* name) {
   SpanRecord span;
   span.id = next_id_++;
   span.parent = current_;
@@ -22,7 +20,7 @@ uint64_t TraceRecorderImpl::BeginSpan(const char* category,
   return span.id;
 }
 
-uint64_t TraceRecorderImpl::BeginMessageSpan(
+uint64_t TraceRecorder::BeginMessageSpan(
     const std::type_info& payload_type, int64_t from, int64_t to,
     uint64_t bytes) {
   SpanRecord span;
@@ -38,15 +36,15 @@ uint64_t TraceRecorderImpl::BeginMessageSpan(
   return span.id;
 }
 
-void TraceRecorderImpl::EndSpan(uint64_t id, double wall_us) {
+void TraceRecorder::EndSpan(uint64_t id, double wall_us) {
   Finish(id, wall_us, /*dropped=*/false);
 }
 
-void TraceRecorderImpl::DropSpan(uint64_t id) {
+void TraceRecorder::DropSpan(uint64_t id) {
   Finish(id, /*wall_us=*/-1, /*dropped=*/true);
 }
 
-void TraceRecorderImpl::Finish(uint64_t id, double wall_us, bool dropped) {
+void TraceRecorder::Finish(uint64_t id, double wall_us, bool dropped) {
   if (id == 0) return;
   auto it = open_.find(id);
   if (it == open_.end()) return;  // double-end is a no-op
@@ -58,7 +56,7 @@ void TraceRecorderImpl::Finish(uint64_t id, double wall_us, bool dropped) {
   flight_.Push(span);
 }
 
-const char* TraceRecorderImpl::InternTypeName(const std::type_info& type) {
+const char* TraceRecorder::InternTypeName(const std::type_info& type) {
   auto it = names_.find(std::type_index(type));
   if (it == names_.end()) {
     it = names_
@@ -69,7 +67,7 @@ const char* TraceRecorderImpl::InternTypeName(const std::type_info& type) {
   return it->second->c_str();
 }
 
-void TraceRecorderImpl::Clear() {
+void TraceRecorder::Clear() {
   open_.clear();
   flight_.Clear();
   next_id_ = 1;

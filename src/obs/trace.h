@@ -1,7 +1,6 @@
 #ifndef FUXI_OBS_TRACE_H_
 #define FUXI_OBS_TRACE_H_
 
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -13,17 +12,7 @@
 #include "obs/flight_recorder.h"
 #include "sim/simulator.h"
 
-// Compile-time tracing switch. The build defines FUXI_OBS_TRACING=0/1
-// (CMake option FUXI_OBS_TRACING, default ON); when OFF, TraceRecorder
-// aliases NoopTraceRecorder and every call site inlines to nothing, so
-// the traced build and the stripped build share one set of sources.
-#ifndef FUXI_OBS_TRACING
-#define FUXI_OBS_TRACING 1
-#endif
-
 namespace fuxi::obs {
-
-inline constexpr bool kTracingEnabled = FUXI_OBS_TRACING != 0;
 
 /// Records causal spans for simulated RPCs and named local work.
 ///
@@ -40,10 +29,13 @@ inline constexpr bool kTracingEnabled = FUXI_OBS_TRACING != 0;
 /// message span ambient (RAII Scope), so any message the handler sends
 /// in turn is parented to it. That chains master→agent→job→worker
 /// through arbitrarily many deterministic hops.
-class TraceRecorderImpl {
+///
+/// Tracing is off when no recorder is attached: every call site tests
+/// its recorder pointer (see Network::SetObservability) before use.
+class TraceRecorder {
  public:
-  explicit TraceRecorderImpl(sim::Simulator* sim,
-                             size_t ring_capacity = kDefaultRingCapacity);
+  explicit TraceRecorder(sim::Simulator* sim,
+                         size_t ring_capacity = kDefaultRingCapacity);
 
   /// Begins a local (non-message) span parented to the ambient span.
   uint64_t BeginSpan(const char* category, const char* name);
@@ -64,7 +56,7 @@ class TraceRecorderImpl {
   /// Makes `span` the ambient parent for the duration of a handler.
   class Scope {
    public:
-    Scope(TraceRecorderImpl* recorder, uint64_t span)
+    Scope(TraceRecorder* recorder, uint64_t span)
         : recorder_(recorder), saved_(recorder->current_) {
       recorder_->current_ = span;
     }
@@ -73,12 +65,11 @@ class TraceRecorderImpl {
     Scope& operator=(const Scope&) = delete;
 
    private:
-    TraceRecorderImpl* recorder_;
+    TraceRecorder* recorder_;
     uint64_t saved_;
   };
 
   uint64_t current() const { return current_; }
-  static constexpr bool enabled() { return true; }
 
   /// Completed spans retained by the flight recorder, oldest first.
   std::vector<SpanRecord> Snapshot() const { return flight_.Snapshot(); }
@@ -106,64 +97,6 @@ class TraceRecorderImpl {
   std::unordered_map<std::type_index, std::unique_ptr<std::string>> names_;
   FlightRecorder flight_;
 };
-
-/// The compiled-out stand-in: identical surface, every member an empty
-/// inline. With FUXI_OBS_TRACING=0 all instrumentation collapses to
-/// comparisons against null/0 the optimizer deletes.
-class NoopTraceRecorder {
- public:
-  explicit NoopTraceRecorder(sim::Simulator* /*sim*/, size_t /*cap*/ = 0) {}
-
-  uint64_t BeginSpan(const char*, const char*) { return 0; }
-  uint64_t BeginMessageSpan(const std::type_info&, int64_t, int64_t,
-                            uint64_t) {
-    return 0;
-  }
-  void EndSpan(uint64_t, double = -1) {}
-  void DropSpan(uint64_t) {}
-
-  class Scope {
-   public:
-    Scope(NoopTraceRecorder*, uint64_t) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-  };
-
-  uint64_t current() const { return 0; }
-  static constexpr bool enabled() { return false; }
-  std::vector<SpanRecord> Snapshot() const { return {}; }
-  uint64_t spans_begun() const { return 0; }
-  size_t open_spans() const { return 0; }
-  const char* InternTypeName(const std::type_info&) { return ""; }
-  void Clear() {}
-};
-
-/// Compile-time interface contract: both recorders must stay drop-in
-/// interchangeable, so flipping FUXI_OBS_TRACING can never break a
-/// call site only exercised in the other configuration.
-template <typename R>
-concept TraceSink = requires(R r, const std::type_info& t) {
-  { r.BeginSpan("cat", "name") } -> std::convertible_to<uint64_t>;
-  { r.BeginMessageSpan(t, int64_t{}, int64_t{}, uint64_t{}) }
-      -> std::convertible_to<uint64_t>;
-  r.EndSpan(uint64_t{}, 0.0);
-  r.DropSpan(uint64_t{});
-  { r.current() } -> std::convertible_to<uint64_t>;
-  { R::enabled() } -> std::convertible_to<bool>;
-  { r.Snapshot() } -> std::convertible_to<std::vector<SpanRecord>>;
-  { r.InternTypeName(t) } -> std::convertible_to<const char*>;
-  typename R::Scope;
-};
-static_assert(TraceSink<TraceRecorderImpl>,
-              "TraceRecorderImpl must satisfy TraceSink");
-static_assert(TraceSink<NoopTraceRecorder>,
-              "NoopTraceRecorder must satisfy TraceSink");
-
-#if FUXI_OBS_TRACING
-using TraceRecorder = TraceRecorderImpl;
-#else
-using TraceRecorder = NoopTraceRecorder;
-#endif
 
 }  // namespace fuxi::obs
 

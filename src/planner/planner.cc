@@ -22,7 +22,7 @@ std::string KeyStr(const PlanKey& key) {
 
 }  // namespace
 
-ClusterPlannerImpl::ClusterPlannerImpl(
+ClusterPlanner::ClusterPlanner(
     std::vector<cluster::ResourceVector> capacities,
     std::vector<int64_t> rack_of, int64_t rack_count, HostHooks hooks)
     : rack_of_(std::move(rack_of)), hooks_(std::move(hooks)) {
@@ -42,7 +42,7 @@ ClusterPlannerImpl::ClusterPlannerImpl(
   }
 }
 
-void ClusterPlannerImpl::set_metrics(obs::MetricsRegistry* metrics) {
+void ClusterPlanner::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
   points_gauge_ = metrics->GetGauge("planner.scheduled_points");
   head_fence_wait_gauge_ =
@@ -56,9 +56,9 @@ void ClusterPlannerImpl::set_metrics(obs::MetricsRegistry* metrics) {
 
 // --- demand lifecycle ---------------------------------------------------
 
-void ClusterPlannerImpl::NoteDemand(const PlanKey& key,
-                                    const DemandInfo& info,
-                                    bool already_granted) {
+void ClusterPlanner::NoteDemand(const PlanKey& key,
+                                const DemandInfo& info,
+                                bool already_granted) {
   if (info.reservation) {
     reservation_keys_.insert(key);
     // Restored-after-failover grants mean the reservation converted
@@ -74,7 +74,7 @@ void ClusterPlannerImpl::NoteDemand(const PlanKey& key,
   }
 }
 
-void ClusterPlannerImpl::OnGrantRestored(const PlanKey& key) {
+void ClusterPlanner::OnGrantRestored(const PlanKey& key) {
   if (reservation_keys_.count(key) > 0) converted_.insert(key);
   auto gang_it = gang_of_key_.find(key);
   if (gang_it != gang_of_key_.end()) {
@@ -92,7 +92,7 @@ void ClusterPlannerImpl::OnGrantRestored(const PlanKey& key) {
   }
 }
 
-void ClusterPlannerImpl::OnDemandGone(const PlanKey& key) {
+void ClusterPlanner::OnDemandGone(const PlanKey& key) {
   auto res_it = res_of_key_.find(key);
   if (res_it != res_of_key_.end()) ReleaseReservation(res_it->second);
   converted_.erase(key);
@@ -124,7 +124,7 @@ void ClusterPlannerImpl::OnDemandGone(const PlanKey& key) {
   }
 }
 
-bool ClusterPlannerImpl::Holds(const PlanKey& key) const {
+bool ClusterPlanner::Holds(const PlanKey& key) const {
   auto gang_it = gang_of_key_.find(key);
   if (gang_it != gang_of_key_.end()) {
     auto g = gangs_.find(gang_it->second);
@@ -138,10 +138,10 @@ bool ClusterPlannerImpl::Holds(const PlanKey& key) const {
 
 // --- grant mirror -------------------------------------------------------
 
-void ClusterPlannerImpl::OnGrantCommitted(const PlanKey& key,
-                                          int64_t machine, int64_t count,
-                                          const cluster::ResourceVector& unit,
-                                          double estimate) {
+void ClusterPlanner::OnGrantCommitted(const PlanKey& key,
+                                      int64_t machine, int64_t count,
+                                      const cluster::ResourceVector& unit,
+                                      double estimate) {
   if (estimate <= 0 || count <= 0) return;
   uint64_t id =
       AddClaim(machine, now_, now_ + estimate, unit * count, /*owner=*/0);
@@ -149,8 +149,8 @@ void ClusterPlannerImpl::OnGrantCommitted(const PlanKey& key,
       RunningClaim{id, count, now_, now_ + estimate, unit});
 }
 
-void ClusterPlannerImpl::OnGrantReleased(const PlanKey& key, int64_t machine,
-                                         int64_t count) {
+void ClusterPlanner::OnGrantReleased(const PlanKey& key, int64_t machine,
+                                     int64_t count) {
   auto it = running_.find({key, machine});
   if (it == running_.end()) return;
   std::vector<RunningClaim>& claims = it->second;
@@ -183,7 +183,7 @@ void ClusterPlannerImpl::OnGrantReleased(const PlanKey& key, int64_t machine,
 
 // --- machine lifecycle --------------------------------------------------
 
-void ClusterPlannerImpl::OnMachineOffline(int64_t machine) {
+void ClusterPlanner::OnMachineOffline(int64_t machine) {
   Timeline& tl = timelines_[static_cast<size_t>(machine)];
   std::vector<uint64_t> broken_reservations;
   std::vector<uint64_t> ids;
@@ -204,7 +204,7 @@ void ClusterPlannerImpl::OnMachineOffline(int64_t machine) {
   }
 }
 
-void ClusterPlannerImpl::SetMachineCapacity(
+void ClusterPlanner::SetMachineCapacity(
     int64_t machine, const cluster::ResourceVector& capacity) {
   Timeline& tl = timelines_[static_cast<size_t>(machine)];
   int64_t r = rack_of_[static_cast<size_t>(machine)];
@@ -221,7 +221,7 @@ void ClusterPlannerImpl::SetMachineCapacity(
 
 // --- backfill guard -----------------------------------------------------
 
-int64_t ClusterPlannerImpl::ClampForBackfill(
+int64_t ClusterPlanner::ClampForBackfill(
     int64_t machine, const cluster::ResourceVector& free,
     const cluster::ResourceVector& unit, double estimate, int64_t want,
     const PlanKey& key) {
@@ -247,10 +247,10 @@ int64_t ClusterPlannerImpl::ClampForBackfill(
 
 // --- timeline plumbing --------------------------------------------------
 
-uint64_t ClusterPlannerImpl::AddClaim(int64_t machine, double start,
-                                      double end,
-                                      const cluster::ResourceVector& amount,
-                                      uint64_t owner) {
+uint64_t ClusterPlanner::AddClaim(int64_t machine, double start,
+                                  double end,
+                                  const cluster::ResourceVector& amount,
+                                  uint64_t owner) {
   uint64_t id = next_claim_id_++;
   timelines_[static_cast<size_t>(machine)].ReserveAt(id, start, end, amount,
                                                      owner);
@@ -260,7 +260,7 @@ uint64_t ClusterPlannerImpl::AddClaim(int64_t machine, double start,
   return id;
 }
 
-void ClusterPlannerImpl::DropClaim(int64_t machine, uint64_t id) {
+void ClusterPlanner::DropClaim(int64_t machine, uint64_t id) {
   Timeline& tl = timelines_[static_cast<size_t>(machine)];
   auto it = tl.claims().find(id);
   if (it == tl.claims().end()) return;
@@ -273,17 +273,17 @@ void ClusterPlannerImpl::DropClaim(int64_t machine, uint64_t id) {
       .Release(id);
 }
 
-cluster::ResourceVector ClusterPlannerImpl::BudgetOf(int64_t machine) const {
+cluster::ResourceVector ClusterPlanner::BudgetOf(int64_t machine) const {
   MachineView view = hooks_.machine(machine);
   if (!view.online) return cluster::ResourceVector{};
   return view.free +
          timelines_[static_cast<size_t>(machine)].RunningLoadAt(now_);
 }
 
-int64_t ClusterPlannerImpl::AvailableUnits(int64_t machine, double t,
-                                           double duration,
-                                           const cluster::ResourceVector& unit,
-                                           uint64_t skip_owner) const {
+int64_t ClusterPlanner::AvailableUnits(int64_t machine, double t,
+                                       double duration,
+                                       const cluster::ResourceVector& unit,
+                                       uint64_t skip_owner) const {
   MachineView view = hooks_.machine(machine);
   if (!view.online) return 0;
   const Timeline& tl = timelines_[static_cast<size_t>(machine)];
@@ -294,7 +294,7 @@ int64_t ClusterPlannerImpl::AvailableUnits(int64_t machine, double t,
   return avail.DivideBy(unit);
 }
 
-std::vector<double> ClusterPlannerImpl::CandidateStarts(double from) const {
+std::vector<double> ClusterPlanner::CandidateStarts(double from) const {
   std::set<double> points{from};
   for (const Timeline& tl : timelines_) {
     for (double p : tl.PointsAfter(from, kMaxCandidateStarts)) {
@@ -306,7 +306,7 @@ std::vector<double> ClusterPlannerImpl::CandidateStarts(double from) const {
   return out;
 }
 
-std::optional<ClusterPlannerImpl::PlanSpot> ClusterPlannerImpl::FindEarliest(
+std::optional<ClusterPlanner::PlanSpot> ClusterPlanner::FindEarliest(
     double from, double duration, const cluster::ResourceVector& unit,
     int64_t need, uint64_t skip_owner) {
   for (double t : CandidateStarts(from)) {
@@ -339,7 +339,7 @@ std::optional<ClusterPlannerImpl::PlanSpot> ClusterPlannerImpl::FindEarliest(
 
 // --- reservations -------------------------------------------------------
 
-uint64_t ClusterPlannerImpl::Book(
+uint64_t ClusterPlanner::Book(
     double start, double end, uint64_t gang_id, bool backfill_head,
     double requested_at,
     const std::map<PlanKey, std::vector<Reservation::Booking>>& bookings) {
@@ -365,7 +365,7 @@ uint64_t ClusterPlannerImpl::Book(
   return res.id;
 }
 
-void ClusterPlannerImpl::ReleaseReservation(uint64_t id) {
+void ClusterPlanner::ReleaseReservation(uint64_t id) {
   auto it = reservations_.find(id);
   if (it == reservations_.end()) return;
   Reservation res = std::move(it->second);
@@ -385,7 +385,7 @@ void ClusterPlannerImpl::ReleaseReservation(uint64_t id) {
 
 // --- the planning pass --------------------------------------------------
 
-void ClusterPlannerImpl::Tick(double now) {
+void ClusterPlanner::Tick(double now) {
   now_ = std::max(now_, now);
   // 1. Expire the past: reservation claims whose whole window passed
   //    unconverted belong to stale reservations. Grant-backed claims
@@ -422,7 +422,7 @@ void ClusterPlannerImpl::Tick(double now) {
   UpdatePointsGauge();
 }
 
-void ClusterPlannerImpl::ConvertDue(double now) {
+void ClusterPlanner::ConvertDue(double now) {
   std::vector<uint64_t> due;
   for (const auto& [id, res] : reservations_) {
     if (res.start <= now) due.push_back(id);
@@ -531,7 +531,7 @@ void ClusterPlannerImpl::ConvertDue(double now) {
   }
 }
 
-void ClusterPlannerImpl::PlanReservations(double now) {
+void ClusterPlanner::PlanReservations(double now) {
   for (const auto& [key, info] : hooks_.all_demands()) {
     if (!info.reservation || info.gang_id != 0) continue;
     if (info.remaining <= 0) continue;
@@ -568,7 +568,7 @@ void ClusterPlannerImpl::PlanReservations(double now) {
   }
 }
 
-bool ClusterPlannerImpl::TryPlaceGangAt(
+bool ClusterPlanner::TryPlaceGangAt(
     double t, double d, const std::vector<std::pair<PlanKey, DemandInfo>>& members,
     std::map<PlanKey, std::vector<Reservation::Booking>>* out) const {
   std::map<int64_t, cluster::ResourceVector> taken;
@@ -601,7 +601,7 @@ bool ClusterPlannerImpl::TryPlaceGangAt(
   return true;
 }
 
-void ClusterPlannerImpl::PlanGangs(double now) {
+void ClusterPlanner::PlanGangs(double now) {
   for (auto& [gang_id, gang] : gangs_) {
     if (gang.started || gang.reservation != 0) continue;
     if (gang.members.size() < gang.declared_size) continue;  // still forming
@@ -672,7 +672,7 @@ void ClusterPlannerImpl::PlanGangs(double now) {
   }
 }
 
-void ClusterPlannerImpl::MaintainBackfillHead(double now) {
+void ClusterPlanner::MaintainBackfillHead(double now) {
   // The EASY head: the highest-priority, oldest demand that is still
   // waiting, carries a lifetime estimate, and is not itself a
   // reservation or gang member. One head reservation cluster-wide.
@@ -728,7 +728,7 @@ void ClusterPlannerImpl::MaintainBackfillHead(double now) {
   }
 }
 
-void ClusterPlannerImpl::Reconcile(double now) {
+void ClusterPlanner::Reconcile(double now) {
   for (size_t m = 0; m < timelines_.size(); ++m) {
     Timeline& tl = timelines_[m];
     if (tl.claim_count() == 0) continue;
@@ -755,8 +755,8 @@ void ClusterPlannerImpl::Reconcile(double now) {
   }
 }
 
-void ClusterPlannerImpl::ExpireDemand(const PlanKey& key,
-                                      const std::string& why) {
+void ClusterPlanner::ExpireDemand(const PlanKey& key,
+                                  const std::string& why) {
   Audit(obs::DecisionKind::kReserve, key,
         obs::RejectReason::kReservationExpired, 0, -1, why);
   reservation_keys_.erase(key);
@@ -766,7 +766,7 @@ void ClusterPlannerImpl::ExpireDemand(const PlanKey& key,
 
 // --- invariants ---------------------------------------------------------
 
-bool ClusterPlannerImpl::CheckNoOvercommit() const {
+bool ClusterPlanner::CheckNoOvercommit() const {
   for (size_t m = 0; m < timelines_.size(); ++m) {
     const Timeline& tl = timelines_[m];
     MachineView view = hooks_.machine(static_cast<int64_t>(m));
@@ -785,7 +785,7 @@ bool ClusterPlannerImpl::CheckNoOvercommit() const {
   return true;
 }
 
-bool ClusterPlannerImpl::CheckGangAtomicity(
+bool ClusterPlanner::CheckGangAtomicity(
     const std::function<int64_t(const PlanKey&)>& granted_units) const {
   for (const auto& [gang_id, gang] : gangs_) {
     if (gang.started) continue;
@@ -798,19 +798,19 @@ bool ClusterPlannerImpl::CheckGangAtomicity(
 
 // --- introspection ------------------------------------------------------
 
-size_t ClusterPlannerImpl::scheduled_points() const {
+size_t ClusterPlanner::scheduled_points() const {
   size_t total = 0;
   for (const Timeline& tl : timelines_) total += tl.point_count();
   for (const Timeline& tl : rack_timelines_) total += tl.point_count();
   return total;
 }
 
-bool ClusterPlannerImpl::GangStarted(uint64_t gang_id) const {
+bool ClusterPlanner::GangStarted(uint64_t gang_id) const {
   auto it = gangs_.find(gang_id);
   return it != gangs_.end() && it->second.started;
 }
 
-void ClusterPlannerImpl::UpdatePointsGauge() {
+void ClusterPlanner::UpdatePointsGauge() {
   if (points_gauge_ != nullptr) {
     points_gauge_->Set(static_cast<double>(scheduled_points()));
   }
@@ -829,11 +829,11 @@ void ClusterPlannerImpl::UpdatePointsGauge() {
   }
 }
 
-void ClusterPlannerImpl::Audit(
+void ClusterPlanner::Audit(
     obs::DecisionKind kind, const PlanKey& key, obs::RejectReason reason,
     int64_t units, int64_t machine, std::string note,
     const std::vector<Reservation::Booking>& bookings, bool provisional) {
-  if (audit_ == nullptr || !obs::AuditLog::enabled()) return;
+  if (audit_ == nullptr) return;
   obs::DecisionRecord record;
   record.kind = kind;
   record.app = key.app;

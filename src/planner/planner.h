@@ -15,21 +15,7 @@
 #include "obs/metrics_registry.h"
 #include "planner/timeline.h"
 
-// Compile-time planner switch, mirroring FUXI_OBS_AUDIT: the build
-// defines FUXI_PLANNER=0/1 (CMake option FUXI_PLANNER, default ON);
-// when OFF, ClusterPlanner aliases NoopClusterPlanner, the scheduler
-// never constructs one (guarded by the constexpr-false enabled()), and
-// every planning call site folds away. Planning request fields still
-// travel on the wire either way — the format does not fork on a build
-// option — they are simply ignored, like locality hints under the
-// flat-queue ablation.
-#ifndef FUXI_PLANNER
-#define FUXI_PLANNER 1
-#endif
-
 namespace fuxi::planner {
-
-inline constexpr bool kPlannerEnabled = FUXI_PLANNER != 0;
 
 /// (app, slot) pair — the planner's own key type so src/planner does
 /// not depend on resource/ headers (the scheduler embeds the planner,
@@ -109,14 +95,14 @@ struct Reservation {
 /// on top of them EASY backfill, advance reservations with deadlines,
 /// and all-or-nothing gang transactions. Deterministic by construction:
 /// every container is ordered, ids come from a monotonic counter, and
-/// all times are virtual.
-class ClusterPlannerImpl {
+/// all times are virtual. The scheduler builds one lazily, on the first
+/// demand that carries a planning hint; traffic without hints never
+/// constructs a planner.
+class ClusterPlanner {
  public:
-  ClusterPlannerImpl(std::vector<cluster::ResourceVector> capacities,
-                     std::vector<int64_t> rack_of, int64_t rack_count,
-                     HostHooks hooks);
-
-  static constexpr bool enabled() { return true; }
+  ClusterPlanner(std::vector<cluster::ResourceVector> capacities,
+                 std::vector<int64_t> rack_of, int64_t rack_count,
+                 HostHooks hooks);
 
   void set_metrics(obs::MetricsRegistry* metrics);
   void set_audit(obs::AuditLog* audit) { audit_ = audit; }
@@ -346,57 +332,6 @@ class ClusterPlannerImpl {
   Histogram* reservation_wait_hist_ = nullptr;
   obs::AuditLog* audit_ = nullptr;
 };
-
-/// Compiled-out stand-in: identical surface, every member an empty
-/// inline returning the neutral value, and enabled() a constexpr false
-/// so the scheduler never constructs one and every guarded call site
-/// folds away.
-class NoopClusterPlanner {
- public:
-  NoopClusterPlanner(std::vector<cluster::ResourceVector>,
-                     std::vector<int64_t>, int64_t, HostHooks) {}
-
-  static constexpr bool enabled() { return false; }
-  void set_metrics(obs::MetricsRegistry*) {}
-  void set_audit(obs::AuditLog*) {}
-  void NoteDemand(const PlanKey&, const DemandInfo&, bool = false) {}
-  void OnDemandGone(const PlanKey&) {}
-  void OnGrantRestored(const PlanKey&) {}
-  bool Holds(const PlanKey&) const { return false; }
-  void OnGrantCommitted(const PlanKey&, int64_t, int64_t,
-                        const cluster::ResourceVector&, double) {}
-  void OnGrantReleased(const PlanKey&, int64_t, int64_t) {}
-  void OnMachineOffline(int64_t) {}
-  void SetMachineCapacity(int64_t, const cluster::ResourceVector&) {}
-  bool HasReservationWindow(int64_t) const { return false; }
-  int64_t ClampForBackfill(int64_t, const cluster::ResourceVector&,
-                           const cluster::ResourceVector&, double,
-                           int64_t want, const PlanKey&) {
-    return want;
-  }
-  void Tick(double) {}
-  bool CheckNoOvercommit() const { return true; }
-  bool CheckGangAtomicity(
-      const std::function<int64_t(const PlanKey&)>&) const {
-    return true;
-  }
-  const std::map<uint64_t, Reservation>& reservations() const {
-    static const std::map<uint64_t, Reservation> kEmpty;
-    return kEmpty;
-  }
-  size_t scheduled_points() const { return 0; }
-  bool GangStarted(uint64_t) const { return false; }
-  uint64_t backfill_hits() const { return 0; }
-  uint64_t backfill_misses() const { return 0; }
-  uint64_t gang_aborts() const { return 0; }
-  double now() const { return 0; }
-};
-
-#if FUXI_PLANNER
-using ClusterPlanner = ClusterPlannerImpl;
-#else
-using ClusterPlanner = NoopClusterPlanner;
-#endif
 
 }  // namespace fuxi::planner
 

@@ -28,10 +28,9 @@ namespace fuxi::resource {
 ///
 /// Compatibility contract: a tree configured exclusively through
 /// `CreateNode` with single-segment paths, default weight and no
-/// budget — exactly what the legacy `quota_groups` configuration
-/// produces — is *structurally flat* (`hierarchical()` is false) and
-/// every predicate below degenerates to the flat QuotaManager formula,
-/// bit for bit. The golden replays, grant-log digests and the
+/// budget — exactly what Scheduler::CreateQuotaGroup produces — is
+/// *structurally flat* (`hierarchical()` is false) and every predicate
+/// below degenerates to the flat QuotaManager formula, bit for bit. The golden replays, grant-log digests and the
 /// scheduler differential suite pin this equivalence; the
 /// weight/surplus/DRF/budget machinery only engages once a genuinely
 /// hierarchical configuration (multi-segment path, non-default weight,

@@ -46,9 +46,7 @@ struct ScheduleUnitDef {
 
 /// Time-aware placement metadata for a slot (fuxi::planner, DESIGN.md
 /// §12). All fields optional; a demand with none set is scheduled by
-/// the instantaneous pass exactly as before. Travels on the wire in
-/// every build — FUXI_PLANNER=OFF ignores it rather than forking the
-/// format.
+/// the instantaneous pass exactly as before.
 struct PlanningHints {
   /// Expected lifetime of one granted unit in virtual seconds; 0 =
   /// unknown (the planner then treats grants as never releasing).

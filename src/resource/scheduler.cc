@@ -184,6 +184,18 @@ Status Scheduler::ApplyRequest(const ResourceRequest& request,
 
 Status Scheduler::ApplyUnitDelta(AppId app, const UnitRequestDelta& delta,
                                  std::vector<PendingDemand*>* touched) {
+  // Malformed planning hints are rejected before the delta touches any
+  // state, so a rejected first request leaves no demand behind.
+  if (delta.has_plan) {
+    if (delta.plan.reservation && delta.plan.estimated_seconds <= 0) {
+      return Status::InvalidArgument(
+          "advance reservation requires a lifetime estimate");
+    }
+    if (delta.plan.gang_id != 0 && delta.plan.gang_size == 0) {
+      return Status::InvalidArgument(
+          "gang member must declare the gang size");
+    }
+  }
   NoteMutation();
   SlotKey key{app, delta.slot_id};
   PendingDemand* demand = tree_.Find(key);
@@ -236,18 +248,9 @@ Status Scheduler::ApplyUnitDelta(AppId app, const UnitRequestDelta& delta,
     }
   }
 
-  // Planning hints (fuxi::planner). Under FUXI_PLANNER=0 they are
-  // ignored exactly like locality hints under the flat-queue ablation:
-  // the demand schedules greedily and the wire format is unchanged.
-  if (delta.has_plan && planner::ClusterPlanner::enabled()) {
-    if (delta.plan.reservation && delta.plan.estimated_seconds <= 0) {
-      return Status::InvalidArgument(
-          "advance reservation requires a lifetime estimate");
-    }
-    if (delta.plan.gang_id != 0 && delta.plan.gang_size == 0) {
-      return Status::InvalidArgument(
-          "gang member must declare the gang size");
-    }
+  // Planning hints (fuxi::planner): the first hinted demand builds the
+  // planner; demands without hints never touch it.
+  if (delta.has_plan) {
     demand->plan = delta.plan;
     EnsurePlanner();
     auto sites = grant_sites_.find(demand->key);
@@ -352,7 +355,7 @@ void Scheduler::PlaceDemand(PendingDemand* demand, SchedulingResult* result) {
   // wait for the all-or-nothing transaction, reservation demands for
   // their booked window.
   if (PlannerHolds(*demand)) {
-    if (auditing()) {
+    if (audit_ != nullptr) {
       obs::DecisionRecord rec;
       rec.kind = obs::DecisionKind::kPlace;
       rec.app = demand->key.app.value();
@@ -369,7 +372,7 @@ void Scheduler::PlaceDemand(PendingDemand* demand, SchedulingResult* result) {
     }
     return;
   }
-  if (!auditing()) {
+  if (audit_ == nullptr) {
     PlaceDemandWalk(demand, result, nullptr);
     return;
   }
@@ -540,7 +543,7 @@ void Scheduler::SchedulePass(MachineId machine, SchedulingResult* result) {
   // worth a ring slot; skipped and walked passes are recorded.
   if (!state.online || state.free.IsZero()) return;
   obs::DecisionRecord rec;
-  const bool record = auditing();
+  const bool record = audit_ != nullptr;
   if (record) {
     rec.kind = obs::DecisionKind::kPass;
     rec.machine = machine.value();
@@ -718,7 +721,7 @@ int64_t Scheduler::RevokeGrant(const SlotKey& key, MachineId machine,
   if (planner_ != nullptr) {
     planner_->OnGrantReleased(PlanKeyOf(key), machine.value(), revoked);
   }
-  if (auditing()) {
+  if (audit_ != nullptr) {
     obs::DecisionRecord rec;
     rec.kind = obs::DecisionKind::kRevoke;
     rec.app = key.app.value();
@@ -956,7 +959,7 @@ void Scheduler::TryPreempt(PendingDemand* demand, SchedulingResult* result) {
             });
 
   obs::DecisionRecord rec;
-  const bool record = auditing();
+  const bool record = audit_ != nullptr;
   if (record) {
     rec.kind = obs::DecisionKind::kPreempt;
     rec.app = demand->key.app.value();
@@ -1230,13 +1233,13 @@ void Scheduler::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 // ---------------------------------------------------------------------
-// fuxi::planner integration (DESIGN.md §12). Everything below is dead
-// code under FUXI_PLANNER=0: EnsurePlanner never constructs, so the
-// planner_ != nullptr guards sprinkled through the hot paths fold away.
+// fuxi::planner integration (DESIGN.md §12). The planner exists only
+// once a demand has carried a planning hint; until then the
+// planner_ != nullptr guards through the hot paths are never taken.
 // ---------------------------------------------------------------------
 
 void Scheduler::EnsurePlanner() {
-  if (!planner::ClusterPlanner::enabled() || planner_ != nullptr) return;
+  if (planner_ != nullptr) return;
   const std::vector<cluster::Machine>& machines = topology_->machines();
   std::vector<cluster::ResourceVector> capacities;
   std::vector<int64_t> rack_of;

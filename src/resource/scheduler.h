@@ -237,10 +237,10 @@ class Scheduler {
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Wires the decision-audit log in (null detaches). The audit layer
-  /// is strictly observational: with the log attached or detached (or
-  /// compiled out via FUXI_OBS_AUDIT=0) the scheduler emits byte-for-
-  /// byte identical SchedulingResult sequences — the decision-
-  /// neutrality contract, enforced by the differential suite.
+  /// is strictly observational: with the log attached or detached the
+  /// scheduler emits byte-for-byte identical SchedulingResult sequences
+  /// — the decision-neutrality contract, enforced by the differential
+  /// suite. Decision records are assembled only while a log is attached.
   void set_audit(obs::AuditLog* audit) {
     audit_ = audit;
     if (planner_ != nullptr) planner_->set_audit(audit);
@@ -317,15 +317,8 @@ class Scheduler {
   int64_t FitCount(const PendingDemand& demand, MachineState& state,
                    int64_t limit, obs::RejectReason* why = nullptr);
 
-  /// True when decision records should be assembled. Constant false in
-  /// FUXI_OBS_AUDIT=0 builds, so guarded assembly folds away.
-  bool auditing() const {
-    return obs::AuditLog::enabled() && audit_ != nullptr;
-  }
-
-  // --- planner plumbing (all dead code when FUXI_PLANNER=0:
-  // ClusterPlanner::enabled() is constexpr false, so the planner is
-  // never constructed and every planner_ != nullptr guard folds) ------
+  // --- planner plumbing (the planner is built lazily, so legacy
+  // traffic never takes a planner_ != nullptr branch) ------------------
 
   static planner::PlanKey PlanKeyOf(const SlotKey& key) {
     return planner::PlanKey{key.app.value(), key.slot_id};
@@ -417,7 +410,7 @@ class Scheduler {
   obs::AuditLog* audit_ = nullptr;
 
   /// The time-aware placement layer; null until a demand carries
-  /// planning hints (and always null under FUXI_PLANNER=0).
+  /// planning hints.
   std::unique_ptr<planner::ClusterPlanner> planner_;
   /// Where planner-committed grants land while a Tick is running.
   SchedulingResult* planner_result_ = nullptr;

@@ -111,7 +111,7 @@ SimCluster::SimCluster(SimClusterOptions options)
     agents_.back()->set_audit(&obs_.audit);
   }
 
-  if (obs::TelemetrySampler::enabled() && options_.obs.telemetry.enabled) {
+  if (options_.obs.telemetry.enabled) {
     // Derived probes: the observable symptoms the SLO watchdog's
     // standard rules watch (see chaos::RunCampaign). Probes are pure
     // reads of simulation state — sampling can never perturb a replay.

@@ -184,7 +184,7 @@ class SimCluster {
   std::set<MachineId> halted_;
   int64_t next_node_id_ = 10000;
   /// Post-event observer token driving the telemetry sampler (0 when
-  /// telemetry is compiled out or runtime-disabled).
+  /// telemetry is disabled).
   uint64_t telemetry_observer_ = 0;
 };
 

@@ -150,7 +150,7 @@ int32_t SubmissionRouter::PickShard(AppId app, std::string* why) const {
 
 void SubmissionRouter::AuditRoute(AppId app, int32_t shard,
                                   const std::string& why) {
-  if (obs_ == nullptr || !obs::AuditLog::enabled()) return;
+  if (obs_ == nullptr) return;
   obs::DecisionRecord r;
   r.kind = obs::DecisionKind::kRoute;
   r.app = app.value();

@@ -167,9 +167,9 @@ struct TenantPopulation {
 };
 
 /// Synthesizes a deterministic tenant population against `capacity`.
-/// At depth 1 every tenant is a root-level bounded node — exactly the
-/// legacy flat quota_groups shape, so the same population drives the
-/// flat-vs-tree byte-identity diffs.
+/// At depth 1 every tenant is a root-level bounded node with default
+/// weight and no budget — the flat shape Scheduler::CreateQuotaGroup
+/// builds.
 TenantPopulation MakeTenantPopulation(
     uint64_t seed, const cluster::ResourceVector& capacity,
     TenantPopulationOptions options = TenantPopulationOptions());

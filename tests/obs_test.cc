@@ -43,44 +43,15 @@ TEST(MetricsRegistryTest, GetReturnsStablePointers) {
   EXPECT_EQ(h->sample_cap(), Histogram::kDefaultSampleCap);
 }
 
-TEST(MetricsRegistryTest, SnapshotBuildsPerInstrumentSeries) {
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("grants");
-  Gauge* g = registry.GetGauge("depth");
-  c->Add(5);
-  g->Set(2);
-  registry.SnapshotAt(1.0);
-  c->Add(5);
-  g->Set(7);
-  registry.SnapshotAt(3.0);
-
-  const TimeSeries* cs = registry.series("grants");
-  ASSERT_NE(cs, nullptr);
-  ASSERT_EQ(cs->size(), 2u);
-  EXPECT_DOUBLE_EQ(cs->points()[0].time, 1.0);
-  EXPECT_DOUBLE_EQ(cs->points()[0].value, 5.0);
-  EXPECT_DOUBLE_EQ(cs->points()[1].value, 10.0);
-
-  const TimeSeries* gs = registry.series("depth");
-  ASSERT_NE(gs, nullptr);
-  EXPECT_DOUBLE_EQ(gs->points()[1].value, 7.0);
-
-  EXPECT_EQ(registry.series("missing"), nullptr);
-}
-
 // --------------------------------------------------------- TraceRecorder
-//
-// These target TraceRecorderImpl directly, so they hold in both build
-// configurations (with FUXI_OBS_TRACING=0 only the production alias
-// switches to the no-op recorder; the real one still compiles).
 
 TEST(TraceRecorderTest, NestedScopesChainParents) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t outer = rec.BeginSpan("test", "outer");
   uint64_t inner = 0;
   {
-    TraceRecorderImpl::Scope scope(&rec, outer);
+    TraceRecorder::Scope scope(&rec, outer);
     EXPECT_EQ(rec.current(), outer);
     inner = rec.BeginSpan("test", "inner");
     rec.EndSpan(inner);
@@ -101,8 +72,8 @@ TEST(TraceRecorderTest, NestedScopesChainParents) {
 TEST(TraceRecorderTest, IdsAreDeterministicAcrossRecorders) {
   sim::Simulator sim_a;
   sim::Simulator sim_b;
-  TraceRecorderImpl a(&sim_a);
-  TraceRecorderImpl b(&sim_b);
+  TraceRecorder a(&sim_a);
+  TraceRecorder b(&sim_b);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(a.BeginSpan("t", "s"), b.BeginSpan("t", "s"));
   }
@@ -112,7 +83,7 @@ TEST(TraceRecorderTest, IdsAreDeterministicAcrossRecorders) {
 
 TEST(TraceRecorderTest, EndIsIdempotentAndDropFlags) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t ended = rec.BeginSpan("t", "ended");
   uint64_t dropped = rec.BeginSpan("t", "dropped");
   rec.EndSpan(ended);
@@ -129,7 +100,7 @@ TEST(TraceRecorderTest, EndIsIdempotentAndDropFlags) {
 
 TEST(TraceRecorderTest, WallClockIsAnnotationOnly) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t span = rec.BeginSpan("sched", "ApplyRequest");
   sim.Schedule(0.5, [] {});
   sim.RunToCompletion();
@@ -163,7 +134,7 @@ TEST(FlightRecorderTest, RingWrapsKeepingNewestOldestFirst) {
 // Snapshot() is oldest-first by construction. These pin the boundary
 // cases: exactly full (no eviction yet), a partial second lap landing
 // mid-ring, multiple full laps, and Clear() resetting the wrap state.
-TEST(FlightRecorderTest, SnapshotAtExactCapacityIsOldestFirst) {
+TEST(FlightRecorderTest, ExactlyFullRingSnapshotsOldestFirst) {
   FlightRecorder ring(4);
   for (uint64_t i = 1; i <= 4; ++i) {
     SpanRecord span;
@@ -245,9 +216,6 @@ struct StrayRpc {};
 class NetworkTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kTracingEnabled) {
-      GTEST_SKIP() << "tracing compiled out (FUXI_OBS_TRACING=0)";
-    }
     network_ = std::make_unique<net::Network>(&sim_, net::Network::Config{});
     network_->SetObservability(&obs_.trace, &obs_.metrics);
     network_->Register(NodeId(1), &a_);
@@ -343,11 +311,11 @@ TEST_F(NetworkTraceTest, UnhandledPayloadsCountedPerType) {
 
 TEST(ExporterTest, ChromeTraceRoundTripsThroughJsonParser) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t parent = rec.BeginMessageSpan(typeid(PingRpc), 1, 2, 128);
   uint64_t child = 0;
   {
-    TraceRecorderImpl::Scope scope(&rec, parent);
+    TraceRecorder::Scope scope(&rec, parent);
     child = rec.BeginSpan("sched", "ApplyRequest");
     rec.EndSpan(child, /*wall_us=*/42.0);
   }
@@ -388,7 +356,6 @@ TEST(ExporterTest, MetricsExportBothFormats) {
   registry.GetGauge("apps")->Set(3);
   Histogram* h = registry.GetHistogram("lat");
   for (int i = 1; i <= 100; ++i) h->Add(i);
-  registry.SnapshotAt(1.0);
 
   Json doc = MetricsToJson(registry);
   EXPECT_EQ(doc.Find("counters")->GetInt("net.sent"), 7);
@@ -397,7 +364,6 @@ TEST(ExporterTest, MetricsExportBothFormats) {
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->GetInt("count"), 100);
   EXPECT_NEAR(lat->GetNumber("p50"), 50.5, 0.01);
-  ASSERT_NE(doc.Find("series"), nullptr);
   // The whole document must round-trip through the parser.
   Result<Json> reparsed = Json::Parse(doc.Dump());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
@@ -440,7 +406,6 @@ TEST(ExporterTest, JsonEscapesMetricNamesAndRoundTrips) {
   registry.GetCounter("weird\"name")->Add(8);
   registry.GetCounter("multi\nline")->Add(9);
   registry.GetGauge("back\\slash")->Set(4);
-  registry.SnapshotAt(1.0);
 
   Json doc = MetricsToJson(registry);
   Result<Json> reparsed = Json::Parse(doc.Dump());
@@ -471,12 +436,8 @@ TEST(ObsClusterTest, ClusterTrafficFillsInstruments) {
   EXPECT_EQ(metrics.counters().at("net.messages_sent")->value(),
             cluster.network().stats().messages_sent);
   EXPECT_EQ(metrics.counters().at("master.elections")->value(), 1u);
-  if (kTracingEnabled) {
-    EXPECT_GT(cluster.obs().trace.spans_begun(), 0u);
-    EXPECT_FALSE(cluster.obs().trace.Snapshot().empty());
-  } else {
-    EXPECT_EQ(cluster.obs().trace.spans_begun(), 0u);
-  }
+  EXPECT_GT(cluster.obs().trace.spans_begun(), 0u);
+  EXPECT_FALSE(cluster.obs().trace.Snapshot().empty());
 }
 
 // -------------------------------------------------- Acceptance scenario
@@ -522,9 +483,6 @@ class ObsChaosTest : public ::testing::Test {
 };
 
 TEST_F(ObsChaosTest, ViolationDumpReconstructsCausalMessageChain) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "tracing compiled out (FUXI_OBS_TRACING=0)";
-  }
   runtime::SimCluster cluster(BuggyTinyClusterOptions());
   chaos::InvariantMonitor monitor(&cluster);
   chaos::ChaosEngine engine(&cluster);

@@ -17,8 +17,7 @@ namespace {
 using cluster::ResourceVector;
 
 // ---------------------------------------------------------------------
-// Timeline unit + property tests (compiled under every FUXI_PLANNER
-// setting: the timeline sources are always built).
+// Timeline unit + property tests.
 // ---------------------------------------------------------------------
 
 TEST(PlannerTimelineTest, ReserveReleaseAndPointAccounting) {
@@ -134,10 +133,8 @@ TEST(PlannerTimelineTest, RandomizedAdmissionNeverOvercommits) {
   });
 }
 
-#if FUXI_PLANNER
-
 // ---------------------------------------------------------------------
-// Scheduler-level policy tests (planner compiled in).
+// Scheduler-level policy tests.
 // ---------------------------------------------------------------------
 
 using resource::ResourceRequest;
@@ -228,6 +225,39 @@ TEST_F(PlannerSchedulerTest, GangPlacesAllOrNothing) {
   EXPECT_TRUE(scheduler_.planner()->GangStarted(42));
   EXPECT_TRUE(scheduler_.PlannerGangAtomicityOk());
   EXPECT_TRUE(scheduler_.PlannerOvercommitOk());
+  EXPECT_TRUE(scheduler_.CheckInvariants());
+}
+
+TEST_F(PlannerSchedulerTest, MalformedHintsAreRejectedWithoutSideEffects) {
+  ASSERT_TRUE(scheduler_.RegisterApp(AppId(1)).ok());
+  SchedulingResult result;
+  // Slot 0 asks for more than the cluster holds, so it stays waiting.
+  ASSERT_TRUE(Apply(AppId(1), MakeUnit(0, 10, 100, 2048, 30), &result).ok());
+  const std::vector<const resource::PendingDemand*> before =
+      scheduler_.locality_tree().AllDemands();
+  ASSERT_EQ(before.size(), 1u);
+  const int64_t remaining_before = before[0]->total_remaining;
+
+  // An advance reservation without a lifetime estimate, on a new slot.
+  UnitRequestDelta reservation = MakeUnit(1, 10, 100, 2048, 2);
+  reservation.has_plan = true;
+  reservation.plan.reservation = true;
+  reservation.plan.reserve_start = 10.0;
+  result.Clear();
+  EXPECT_TRUE(Apply(AppId(1), reservation, &result).IsInvalidArgument());
+
+  // A gang member that does not declare its gang size, on the live slot.
+  UnitRequestDelta gang = MakeUnit(0, 10, 100, 2048, 4);
+  gang.has_plan = true;
+  gang.plan.gang_id = 7;
+  gang.plan.gang_size = 0;
+  EXPECT_TRUE(Apply(AppId(1), gang, &result).IsInvalidArgument());
+
+  EXPECT_EQ(scheduler_.locality_tree().AllDemands(), before);
+  EXPECT_EQ(before[0]->total_remaining, remaining_before);
+  EXPECT_FALSE(before[0]->plan.Any());
+  EXPECT_FALSE(scheduler_.planner_active());
+  EXPECT_TRUE(result.assignments.empty());
   EXPECT_TRUE(scheduler_.CheckInvariants());
 }
 
@@ -372,13 +402,9 @@ TEST_F(PlannerSchedulerTest, MachineLossReplansItsReservations) {
   EXPECT_TRUE(scheduler_.PlannerOvercommitOk());
 }
 
-#endif  // FUXI_PLANNER
-
 // ---------------------------------------------------------------------
-// Chaos sweeps with the planner workload + planner faults. Under
-// FUXI_PLANNER=0 builds the hints are dropped at the scheduler
-// boundary, the planner faults no-op, and the sweep still must pass —
-// same acceptance bar either way: zero violations, every app finishes.
+// Chaos sweeps with the planner workload + planner faults: zero
+// violations, every app finishes.
 // ---------------------------------------------------------------------
 
 TEST(PlannerChaosCampaign, FiftySeedPlannerSweepHoldsAllInvariants) {

@@ -448,26 +448,22 @@ void RunDifferentialSeed(uint64_t seed) {
 
   // The fuxi_explain acceptance contract: every demand still waiting at
   // the end of the stream must be explainable — its rejection chain in
-  // the audit dump is non-empty. (Skipped in FUXI_OBS_AUDIT=0 builds,
-  // where the log is a no-op; the byte-identical Step comparisons above
-  // still ran against the no-op log, proving the OFF path too.)
-  if (obs::AuditLog::enabled()) {
-    EXPECT_EQ(driver.audit_log().overwritten(), 0u)
-        << "ring sized too small for this stream";
-    const std::vector<obs::DecisionRecord> dump =
-        driver.audit_log().Snapshot();
-    EXPECT_GT(dump.size(), 0u);
-    for (const PendingDemand* demand :
-         driver.audited().locality_tree().AllDemands()) {
-      if (demand->total_remaining <= 0) continue;
-      std::vector<obs::CandidateOutcome> chain = obs::RejectionChain(
-          dump, demand->key.app.value(), demand->key.slot_id);
-      EXPECT_FALSE(chain.empty())
-          << "unplaced demand app=" << demand->key.app.value()
-          << " slot=" << demand->key.slot_id
-          << " remaining=" << demand->total_remaining
-          << " has no rejection chain in the audit dump";
-    }
+  // the audit dump is non-empty.
+  EXPECT_EQ(driver.audit_log().overwritten(), 0u)
+      << "ring sized too small for this stream";
+  const std::vector<obs::DecisionRecord> dump =
+      driver.audit_log().Snapshot();
+  EXPECT_GT(dump.size(), 0u);
+  for (const PendingDemand* demand :
+       driver.audited().locality_tree().AllDemands()) {
+    if (demand->total_remaining <= 0) continue;
+    std::vector<obs::CandidateOutcome> chain = obs::RejectionChain(
+        dump, demand->key.app.value(), demand->key.slot_id);
+    EXPECT_FALSE(chain.empty())
+        << "unplaced demand app=" << demand->key.app.value()
+        << " slot=" << demand->key.slot_id
+        << " remaining=" << demand->total_remaining
+        << " has no rejection chain in the audit dump";
   }
 }
 

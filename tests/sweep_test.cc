@@ -7,8 +7,7 @@
 // observed state it does not own (a process-global metric registry, a
 // shared audit ring, a leaked RNG) and is a build-breaking bug, not a
 // flake. The battery runs three cluster shapes — unsharded, federated,
-// and the planner workload (which degrades to legacy apps under
-// FUXI_PLANNER=0 builds, where the equality must hold all the same).
+// and the planner workload.
 //
 // Alongside the determinism battery: SweepRunner edge cases (zero
 // seeds, more workers than seeds, failing seeds whose artifact dumps
@@ -200,9 +199,6 @@ TEST(SweepDeterminism, ShardedTwentySeedsMatchSerialByteForByte) {
 }
 
 TEST(SweepDeterminism, PlannerTwentySeedsMatchSerialByteForByte) {
-  // Under FUXI_PLANNER=0 builds the gang hints are dropped at the
-  // scheduler boundary and this is a third legacy-shaped configuration;
-  // the equality bar is identical either way.
   AssertSweepDeterministic(PlannerConfig(), 20, "planner");
 }
 
@@ -264,14 +260,10 @@ TEST(SweepViolation, FailingSeedKeepsPerSeedArtifactsUnInterleaved) {
         << "failure artifact carries another campaign's trace";
     EXPECT_FALSE(failure.residual_state.empty());
     EXPECT_FALSE(failure.violations.empty());
-    if (obs::AuditLog::enabled()) {
-      EXPECT_FALSE(failure.audit_json.empty())
-          << "audit dump lost for failing seed " << failure.seed;
-    }
-    if (obs::TraceRecorder::enabled()) {
-      EXPECT_FALSE(failure.chrome_trace.empty())
-          << "flight-recorder dump lost for failing seed " << failure.seed;
-    }
+    EXPECT_FALSE(failure.audit_json.empty())
+        << "audit dump lost for failing seed " << failure.seed;
+    EXPECT_FALSE(failure.chrome_trace.empty())
+        << "flight-recorder dump lost for failing seed " << failure.seed;
     EXPECT_EQ(failure.violations.size(),
               serial.failures[i].violations.size());
   }
@@ -311,7 +303,6 @@ TEST(ConcurrentClusters, MetricSnapshotsShowNoCrossTalk) {
     app.StartMaster();
     cluster.RunFor(30.0);
 
-    cluster.obs().metrics.SnapshotAt(cluster.sim().Now());
     return obs::StripRealtimeRows(obs::MetricsToCsv(cluster.obs().metrics));
   };
   std::string alone_a = run_cluster(11);
@@ -331,9 +322,6 @@ TEST(ConcurrentClusters, MetricSnapshotsShowNoCrossTalk) {
 }
 
 TEST(ConcurrentClusters, TraceCounterIdsAreClusterScoped) {
-  if (!obs::TraceRecorder::enabled()) {
-    GTEST_SKIP() << "tracing compiled out";
-  }
   // Span ids come from a per-recorder monotonic counter. Pin the
   // scoping: a cluster's span-id sequence — count, first id, parent
   // links — is identical whether it runs alone or beside a sibling, and

@@ -12,10 +12,6 @@
 //    series are dropped, and the seeded restore-bug campaign must raise
 //    a watchdog HealthEvent strictly before its first invariant
 //    violation — the "pre-violation warning" contract.
-//
-// Everything here is skipped (or trivially passes) under
-// FUXI_OBS_TELEMETRY=0 builds, where the Noop classes fold the
-// subsystem away.
 
 #include <gtest/gtest.h>
 
@@ -89,7 +85,7 @@ TEST(TelemetrySeries, MidRunBirthStartsAtFirstSampledTick) {
 /// one virtual second and polls.
 struct SamplerHarness {
   obs::MetricsRegistry metrics;
-  obs::TelemetrySamplerImpl sampler{&metrics, {}};
+  obs::TelemetrySampler sampler{&metrics, {}};
   double now = 0;
 
   void Step(double dt = 1.0) {
@@ -99,9 +95,6 @@ struct SamplerHarness {
 };
 
 TEST(TelemetrySampler, CapturesCountersGaugesAndRates) {
-  if (!obs::TelemetrySampler::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   SamplerHarness h;
   h.sampler.AddRate("work.items");
   obs::Counter* items = h.metrics.GetCounter("work.items");
@@ -129,9 +122,6 @@ TEST(TelemetrySampler, CapturesCountersGaugesAndRates) {
 }
 
 TEST(TelemetrySampler, PollCatchesUpMissedTicksInOrder) {
-  if (!obs::TelemetrySampler::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   SamplerHarness h;
   obs::Gauge* g = h.metrics.GetGauge("g");
   g->Set(4);
@@ -146,9 +136,6 @@ TEST(TelemetrySampler, PollCatchesUpMissedTicksInOrder) {
 }
 
 TEST(TelemetrySampler, ProbesBecomeDerivedSeries) {
-  if (!obs::TelemetrySampler::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   SamplerHarness h;
   double level = 1;
   h.sampler.AddProbe("derived.level", [&level] { return level; });
@@ -167,8 +154,8 @@ TEST(TelemetrySampler, ProbesBecomeDerivedSeries) {
 /// test mutates between steps — the minimal harness for rule edges.
 struct WatchdogHarness {
   obs::MetricsRegistry metrics;
-  obs::TelemetrySamplerImpl sampler{&metrics, {}};
-  obs::SloWatchdogImpl watchdog{nullptr, nullptr, 512};
+  obs::TelemetrySampler sampler{&metrics, {}};
+  obs::SloWatchdog watchdog{nullptr, nullptr, 512};
   double level = 0;
   double now = -1;
 
@@ -188,9 +175,6 @@ struct WatchdogHarness {
 };
 
 TEST(SloWatchdog, ThresholdFiresOnCrossAndHonorsCooldown) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "spike";
@@ -214,9 +198,6 @@ TEST(SloWatchdog, ThresholdFiresOnCrossAndHonorsCooldown) {
 }
 
 TEST(SloWatchdog, ThresholdBelowDirectionFires) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "floor";
@@ -232,9 +213,6 @@ TEST(SloWatchdog, ThresholdBelowDirectionFires) {
 }
 
 TEST(SloWatchdog, RateFiresOnFastGrowthOnly) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "growth";
@@ -257,9 +235,6 @@ TEST(SloWatchdog, RateFiresOnFastGrowthOnly) {
 }
 
 TEST(SloWatchdog, RateNeedsFullLookbackWindow) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "growth";
@@ -277,9 +252,6 @@ TEST(SloWatchdog, RateNeedsFullLookbackWindow) {
 }
 
 TEST(SloWatchdog, SustainedRequiresUninterruptedBreach) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "stuck";
@@ -303,9 +275,6 @@ TEST(SloWatchdog, SustainedRequiresUninterruptedBreach) {
 }
 
 TEST(SloWatchdog, MissingSeriesNeverFires) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "ghost";
@@ -319,12 +288,9 @@ TEST(SloWatchdog, MissingSeriesNeverFires) {
 }
 
 TEST(SloWatchdog, EventRingBoundsAndCountsDrops) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   obs::MetricsRegistry metrics;
-  obs::TelemetrySamplerImpl sampler(&metrics, {});
-  obs::SloWatchdogImpl watchdog(nullptr, nullptr, /*max_events=*/2);
+  obs::TelemetrySampler sampler(&metrics, {});
+  obs::SloWatchdog watchdog(nullptr, nullptr, /*max_events=*/2);
   double level = 100;
   sampler.AddProbe("probe", [&level] { return level; });
   SloRule rule;
@@ -345,9 +311,6 @@ TEST(SloWatchdog, EventRingBoundsAndCountsDrops) {
 // ---------------------------------------------------------- round trip
 
 TEST(TelemetryExport, JsonRoundTripsSeriesAndEvents) {
-  if (!obs::TelemetrySampler::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   WatchdogHarness h;
   SloRule rule;
   rule.name = "spike";
@@ -395,9 +358,6 @@ std::string DeterministicTelemetry(const std::string& json) {
 }
 
 TEST(TelemetryDeterminism, TwentySeedsDumpIdenticallyAcrossJobs) {
-  if (!obs::TelemetrySampler::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   // The tentpole determinism bar: per-seed telemetry dumps (sampled off
   // simulator ticks, exported as delta-encoded JSON) are byte-identical
   // between a serial sweep and a 4-worker sweep once realtime-tagged
@@ -431,9 +391,6 @@ TEST(TelemetryDeterminism, TwentySeedsDumpIdenticallyAcrossJobs) {
 }
 
 TEST(TelemetryWatchdog, SeededBugRaisesHealthEventBeforeViolation) {
-  if (!obs::SloWatchdog::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   // The watchdog's reason to exist: under the seeded Figure 7 restore
   // bug (seed 8 — pinned by the golden replay suite), the stray-process
   // rule must fire while the leaked workers are still only a
@@ -471,9 +428,6 @@ TEST(TelemetryWatchdog, SeededBugRaisesHealthEventBeforeViolation) {
 }
 
 TEST(TelemetryCampaign, CleanSeedSamplesButStaysQuiet) {
-  if (!obs::TelemetrySampler::enabled()) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
   // Seed 3 passes (golden suite pin); its telemetry dump must be
   // non-trivial — series exist, the stray probe stayed flat at zero —
   // and the stray/overcommit rules must not have fired.
