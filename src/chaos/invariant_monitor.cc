@@ -32,6 +32,7 @@ InvariantMonitor::InvariantMonitor(runtime::SimCluster* cluster,
         cluster->shard_of_machine(machine.id))];
   }
   shard_masters_.resize(shards);
+  shard_lock_entries_.assign(shards, nullptr);
   for (size_t k = 0; k < shards; ++k) {
     const std::string& lock = cluster->shard_lock(static_cast<int>(k));
     for (int i = 0; i < cluster->master_count(); ++i) {
@@ -140,6 +141,14 @@ void InvariantMonitor::FoldTime(double value) {
   Fold(bits);
 }
 
+NodeId InvariantMonitor::ShardLockHolder(int k) {
+  coord::LockService& locks = cluster_->locks();
+  const coord::LockService::Lock*& entry =
+      shard_lock_entries_[static_cast<size_t>(k)];
+  if (entry == nullptr) entry = locks.Find(cluster_->shard_lock(k));
+  return locks.HolderOf(entry);
+}
+
 void InvariantMonitor::CheapChecks(double now) {
   // One pass per shard (the unsharded cluster is the one-shard case and
   // produces exactly the legacy condition keys). shard_masters_ matched
@@ -147,7 +156,7 @@ void InvariantMonitor::CheapChecks(double now) {
   // construction order.
   int shards = cluster_->shard_count();
   for (int k = 0; k < shards; ++k) {
-    NodeId holder = cluster_->locks().Holder(cluster_->shard_lock(k));
+    NodeId holder = ShardLockHolder(k);
     int primaries = 0;
     master::FuxiMaster* holder_primary = nullptr;
     for (master::FuxiMaster* m : shard_masters_[static_cast<size_t>(k)]) {
@@ -205,7 +214,7 @@ void InvariantMonitor::HeavyChecks(double now) {
   std::vector<master::FuxiMaster*> primaries(
       static_cast<size_t>(shards), nullptr);
   for (int k = 0; k < shards; ++k) {
-    NodeId holder = cluster_->locks().Holder(cluster_->shard_lock(k));
+    NodeId holder = ShardLockHolder(k);
     master::FuxiMaster* primary = nullptr;
     for (master::FuxiMaster* m : shard_masters_[static_cast<size_t>(k)]) {
       if (m->is_alive() && m->is_primary() && m->node() == holder) primary = m;

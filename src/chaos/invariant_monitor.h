@@ -163,6 +163,9 @@ class InvariantMonitor {
   void OnEvent(double now);
   void CheapChecks(double now);
   void HeavyChecks(double now);
+  /// Holder of shard `k`'s election lock, via its lock entry resolved
+  /// once it exists (no string-keyed lookup per event after that).
+  NodeId ShardLockHolder(int k);
   /// Orphan sweep of one machine: one tracker per finished app that
   /// still has live processes there, and none for any other app.
   void CheckOrphans(double now, MachineId machine, bool primary_elected);
@@ -191,6 +194,8 @@ class InvariantMonitor {
   /// Each shard's masters in cluster order, matched by election lease
   /// at construction (a master's lease name never changes).
   std::vector<std::vector<master::FuxiMaster*>> shard_masters_;
+  /// Each shard's lock entry; null until the lock is first taken.
+  std::vector<const coord::LockService::Lock*> shard_lock_entries_;
   uint64_t checks_ = 0;
   uint64_t hash_ = 1469598103934665603ull;  // FNV-1a offset basis
   std::map<ConditionKey, PendingCondition> pending_;

@@ -51,11 +51,14 @@ Status LockService::Release(const std::string& name, NodeId owner) {
   return Status::Ok();
 }
 
-NodeId LockService::Holder(const std::string& name) const {
+const LockService::Lock* LockService::Find(const std::string& name) const {
   auto it = locks_.find(name);
-  if (it == locks_.end()) return NodeId();
-  if (it->second.lease_deadline <= sim_->Now()) return NodeId();
-  return it->second.holder;
+  return it == locks_.end() ? nullptr : &it->second;
+}
+
+NodeId LockService::HolderOf(const Lock* lock) const {
+  if (lock == nullptr || lock->lease_deadline <= sim_->Now()) return NodeId();
+  return lock->holder;
 }
 
 void LockService::WatchRelease(const std::string& name,

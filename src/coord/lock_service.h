@@ -33,7 +33,17 @@ class LockService {
   Status Release(const std::string& name, NodeId owner);
 
   /// Current holder, or invalid NodeId when free.
-  NodeId Holder(const std::string& name) const;
+  NodeId Holder(const std::string& name) const { return HolderOf(Find(name)); }
+
+  struct Lock;
+  /// The entry behind `name`, for callers that ask for its holder on
+  /// every event: resolve once, then HolderOf skips the string-keyed
+  /// lookup. Null until `name` is first acquired or watched. Entries are
+  /// never erased, so a non-null result stays valid for the service's
+  /// lifetime.
+  const Lock* Find(const std::string& name) const;
+  /// Holder(name) for the entry Find(name) returned (null: free).
+  NodeId HolderOf(const Lock* lock) const;
 
   /// Registers a callback invoked whenever `name` becomes free (release
   /// or lease expiry). Waiters typically re-call TryAcquire inside it.
@@ -44,19 +54,19 @@ class LockService {
   void ExpireNow(const std::string& name);
 
  private:
-  struct Lock {
-    NodeId holder;
-    uint64_t generation = 0;  ///< bumps on every acquire; stale expiry guard
-    double lease_deadline = 0;
-    std::vector<std::function<void()>> watchers;
-  };
-
   void ScheduleExpiry(const std::string& name, uint64_t generation,
                       double deadline);
   void ReleaseInternal(const std::string& name);
 
   sim::Simulator* sim_;
   std::map<std::string, Lock> locks_;
+};
+
+struct LockService::Lock {
+  NodeId holder;
+  uint64_t generation = 0;  ///< bumps on every acquire; stale expiry guard
+  double lease_deadline = 0;
+  std::vector<std::function<void()>> watchers;
 };
 
 }  // namespace fuxi::coord

@@ -2,16 +2,19 @@
 #define FUXI_NET_NETWORK_H_
 
 #include <any>
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <typeindex>
+#include <typeinfo>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics_registry.h"
 
@@ -25,6 +28,24 @@
 
 namespace fuxi::net {
 
+namespace internal {
+inline std::atomic<uint32_t> next_payload_slot{0};
+}  // namespace internal
+
+/// Dense process-wide integer id of payload type T, assigned on first
+/// use (a function-local static, so concurrent clusters on sweep threads
+/// race-free agree on it). Endpoints index their handlers by it and the
+/// tracer caches span names by it, so dispatch never hashes a type name.
+/// Slot numbers follow first-use order, which threads may vary; nothing
+/// observable depends on them.
+template <typename T>
+uint32_t PayloadSlot() {
+  static const uint32_t slot = internal::next_payload_slot.fetch_add(1);
+  return slot;
+}
+
+inline constexpr uint32_t kNoPayloadSlot = UINT32_MAX;
+
 /// A delivered message with its routing metadata.
 struct Envelope {
   NodeId from;
@@ -33,6 +54,9 @@ struct Envelope {
   double sent_at = 0;      ///< virtual send time
   size_t wire_bytes = 0;   ///< exact encoded frame size (measured at Send)
   uint64_t span = 0;       ///< causal trace span of this copy (0 = untraced)
+  /// PayloadSlot of the payload's type, stamped by Network::Send. An
+  /// unstamped envelope matches no handler and counts as unhandled.
+  uint32_t type_slot = kNoPayloadSlot;
   std::any payload;
 };
 
@@ -49,29 +73,37 @@ class Endpoint {
   /// application master's fresh ResourceClient) uses ReplaceHandle.
   template <typename T>
   void Handle(std::function<void(const Envelope&, const T&)> fn) {
-    bool inserted =
-        handlers_.emplace(std::type_index(typeid(T)), Wrap(std::move(fn)))
-            .second;
-    FUXI_CHECK(inserted)
+    std::unique_ptr<Handler>& handler = HandlerFor(PayloadSlot<T>());
+    FUXI_CHECK(handler == nullptr)
         << "duplicate handler registration for payload type "
         << Demangle(typeid(T).name())
         << " (use ReplaceHandle for deliberate takeover)";
+    handler = std::make_unique<Handler>(Wrap(std::move(fn)));
   }
 
   /// Registers or replaces the handler for T (deliberate takeover).
   template <typename T>
   void ReplaceHandle(std::function<void(const Envelope&, const T&)> fn) {
-    handlers_[std::type_index(typeid(T))] = Wrap(std::move(fn));
+    std::unique_ptr<Handler>& handler = HandlerFor(PayloadSlot<T>());
+    if (handler == nullptr) {
+      handler = std::make_unique<Handler>(Wrap(std::move(fn)));
+    } else {
+      *handler = Wrap(std::move(fn));
+    }
   }
 
   /// Dispatches one envelope. Returns false when no handler matched.
   bool Dispatch(const Envelope& env) {
-    auto it = handlers_.find(std::type_index(env.payload.type()));
-    if (it == handlers_.end()) {
+    // Held by pointer: a handler may register more handlers, which can
+    // grow handlers_ while it runs.
+    Handler* handler = env.type_slot < handlers_.size()
+                           ? handlers_[env.type_slot].get()
+                           : nullptr;
+    if (handler == nullptr) {
       ++unhandled_;
-      uint64_t& per_type =
-          unhandled_by_type_[std::type_index(env.payload.type())];
-      if (++per_type == 1) {
+      UnhandledType& per_type = unhandled_by_type_[env.type_slot];
+      per_type.type = &env.payload.type();
+      if (++per_type.count == 1) {
         FUXI_LOG(kWarning)
             << "endpoint at node " << env.to.value()
             << " has no handler for payload type "
@@ -80,7 +112,7 @@ class Endpoint {
       }
       return false;
     }
-    it->second(env);
+    (*handler)(env);
     return true;
   }
 
@@ -89,25 +121,40 @@ class Endpoint {
   /// Per-payload-type unhandled counts, keyed by demangled type name.
   std::map<std::string, uint64_t> UnhandledByType() const {
     std::map<std::string, uint64_t> out;
-    for (const auto& [type, count] : unhandled_by_type_) {
-      out[Demangle(type.name())] += count;
+    for (const auto& [slot, per_type] : unhandled_by_type_) {
+      out[Demangle(per_type.type->name())] += per_type.count;
     }
     return out;
   }
 
  private:
+  using Handler = std::function<void(const Envelope&)>;
+  struct UnhandledType {
+    const std::type_info* type = nullptr;
+    uint64_t count = 0;
+  };
+
+  std::unique_ptr<Handler>& HandlerFor(uint32_t slot) {
+    if (slot >= handlers_.size()) handlers_.resize(slot + 1);
+    return handlers_[slot];
+  }
+
   template <typename T>
-  static std::function<void(const Envelope&)> Wrap(
-      std::function<void(const Envelope&, const T&)> fn) {
+  static Handler Wrap(std::function<void(const Envelope&, const T&)> fn) {
     return [fn = std::move(fn)](const Envelope& env) {
-      fn(env, std::any_cast<const T&>(env.payload));
+      const T* payload = std::any_cast<T>(&env.payload);
+      FUXI_CHECK(payload != nullptr)
+          << "envelope type slot " << env.type_slot
+          << " does not match its payload "
+          << Demangle(env.payload.type().name());
+      fn(env, *payload);
     };
   }
 
-  std::unordered_map<std::type_index, std::function<void(const Envelope&)>>
-      handlers_;
+  /// Handlers by payload slot; null where this endpoint handles none.
+  std::vector<std::unique_ptr<Handler>> handlers_;
   uint64_t unhandled_ = 0;
-  std::unordered_map<std::type_index, uint64_t> unhandled_by_type_;
+  std::map<uint32_t, UnhandledType> unhandled_by_type_;
 };
 
 /// Aggregate transport counters, used by the incremental-communication
@@ -239,7 +286,8 @@ class Network {
     if constexpr (wire::WireMessage<T>) {
       constexpr wire::MsgTag tag = wire::TypeInfoOf<T>().tag;
       if (config_.serialize_on_send) {
-        std::string bytes;
+        std::string& bytes = encode_buffer_;
+        bytes.clear();
         wire::EncodeFramed(payload, &bytes);
         // Fault injection operates on the encoded form — the only place
         // byte-level faults exist. Guarded draws keep the RNG stream
@@ -293,19 +341,24 @@ class Network {
       ++copies;
       stats_.messages_duplicated++;
     }
+    const uint32_t type_slot = PayloadSlot<T>();
     for (int i = 0; i < copies; ++i) {
-      Envelope env;
+      uint32_t slot = TakeInFlightSlot();
+      Envelope& env = in_flight_[slot];
       env.from = from;
       env.to = to;
       env.wire_seq = next_wire_seq_++;
       env.sent_at = sim_->Now();
       env.wire_bytes = wire_bytes;
+      env.type_slot = type_slot;
+      env.span = 0;
       if (tracer_ != nullptr) {
         // One span per copy: it opens here (parented to whatever span
         // the sender is running under) and closes when the receiving
         // handler returns, so the span covers wire latency + handling.
-        env.span = tracer_->BeginMessageSpan(typeid(T), from.value(),
-                                             to.value(), wire_bytes);
+        env.span = tracer_->BeginMessageSpan(type_slot, typeid(T),
+                                             from.value(), to.value(),
+                                             wire_bytes);
       }
       if (i + 1 < copies) {
         env.payload = payload;  // an injected duplicate needs its own copy
@@ -313,9 +366,7 @@ class Network {
         env.payload = std::move(payload);
       }
       double latency = SampleLatency();
-      sim_->Schedule(latency, [this, env = std::move(env)]() {
-        Deliver(env);
-      });
+      sim_->Schedule(latency, [this, slot] { Deliver(slot); });
     }
   }
 
@@ -398,35 +449,46 @@ class Network {
     if (dropped_counter_ != nullptr) dropped_counter_->Add();
   }
 
-  void Deliver(const Envelope& env) {
-    if (Blocked(env.from, env.to)) {
-      NoteDrop();
-      if (tracer_ != nullptr) tracer_->DropSpan(env.span);
-      return;
+  uint32_t TakeInFlightSlot() {
+    if (free_in_flight_.empty()) {
+      in_flight_.emplace_back();
+      return static_cast<uint32_t>(in_flight_.size() - 1);
     }
-    auto it = endpoints_.find(env.to);
+    uint32_t slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    return slot;
+  }
+
+  /// Delivers the envelope in slab slot `slot` in place, then frees the
+  /// slot (and the payload with it).
+  void Deliver(uint32_t slot) {
+    Envelope& env = in_flight_[slot];
+    auto it = Blocked(env.from, env.to) ? endpoints_.end()
+                                        : endpoints_.find(env.to);
     if (it == endpoints_.end()) {
       NoteDrop();
       if (tracer_ != nullptr) tracer_->DropSpan(env.span);
-      return;
-    }
-    stats_.messages_delivered++;
-    if (delivered_counter_ != nullptr) delivered_counter_->Add();
-    bool handled;
-    if (tracer_ != nullptr && env.span != 0) {
-      // While the handler runs, this message is the ambient parent —
-      // anything it sends in turn chains off it.
-      obs::TraceRecorder::Scope scope(tracer_, env.span);
-      handled = it->second->Dispatch(env);
-      tracer_->EndSpan(env.span);
     } else {
-      handled = it->second->Dispatch(env);
+      stats_.messages_delivered++;
+      if (delivered_counter_ != nullptr) delivered_counter_->Add();
+      bool handled;
+      if (tracer_ != nullptr && env.span != 0) {
+        // While the handler runs, this message is the ambient parent —
+        // anything it sends in turn chains off it.
+        obs::TraceRecorder::Scope scope(tracer_, env.span);
+        handled = it->second->Dispatch(env);
+        tracer_->EndSpan(env.span);
+      } else {
+        handled = it->second->Dispatch(env);
+      }
+      if (!handled && metrics_ != nullptr) {
+        metrics_->GetCounter("net.unhandled." +
+                             Demangle(env.payload.type().name()))
+            ->Add();
+      }
     }
-    if (!handled && metrics_ != nullptr) {
-      metrics_->GetCounter("net.unhandled." +
-                           Demangle(env.payload.type().name()))
-          ->Add();
-    }
+    env.payload.reset();
+    free_in_flight_.push_back(slot);
   }
 
   void ScheduleFlapCycle(NodeId node, double period, double duty,
@@ -457,6 +519,13 @@ class Network {
   obs::Counter* decode_drop_counter_ = nullptr;
   std::unordered_map<uint16_t, PerTypeCounters> per_type_counters_;
   uint64_t next_wire_seq_ = 0;
+  /// In-flight message copies by slab slot: a delivery event captures only
+  /// [this, slot], which fits std::function's inline buffer. A deque, so
+  /// an envelope stays put while its handler sends (and grows the slab).
+  std::deque<Envelope> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
+  /// serialize_on_send's frame buffer, reused across sends.
+  std::string encode_buffer_;
   std::unordered_map<NodeId, Endpoint*> endpoints_;
   std::unordered_set<NodeId> partitioned_;
   std::set<std::pair<NodeId, NodeId>> cut_links_;

@@ -21,14 +21,14 @@ uint64_t TraceRecorder::BeginSpan(const char* category, const char* name) {
 }
 
 uint64_t TraceRecorder::BeginMessageSpan(
-    const std::type_info& payload_type, int64_t from, int64_t to,
-    uint64_t bytes) {
+    uint32_t type_slot, const std::type_info& payload_type, int64_t from,
+    int64_t to, uint64_t bytes) {
   SpanRecord span;
   span.id = next_id_++;
   span.parent = current_;
   span.begin = sim_->Now();
   span.category = "rpc";
-  span.name = InternTypeName(payload_type);
+  span.name = MessageName(type_slot, payload_type);
   span.from = from;
   span.to = to;
   span.bytes = bytes;
@@ -56,22 +56,14 @@ void TraceRecorder::Finish(uint64_t id, double wall_us, bool dropped) {
   flight_.Push(span);
 }
 
-const char* TraceRecorder::InternTypeName(const std::type_info& type) {
-  auto it = names_.find(std::type_index(type));
-  if (it == names_.end()) {
-    it = names_
-             .emplace(std::type_index(type),
-                      std::make_unique<std::string>(Demangle(type.name())))
-             .first;
+const char* TraceRecorder::MessageName(uint32_t type_slot,
+                                       const std::type_info& type) {
+  if (type_slot >= names_.size()) names_.resize(type_slot + 1);
+  std::unique_ptr<std::string>& name = names_[type_slot];
+  if (name == nullptr) {
+    name = std::make_unique<std::string>(Demangle(type.name()));
   }
-  return it->second->c_str();
-}
-
-void TraceRecorder::Clear() {
-  open_.clear();
-  flight_.Clear();
-  next_id_ = 1;
-  current_ = 0;
+  return name->c_str();
 }
 
 }  // namespace fuxi::obs

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <typeindex>
 #include <typeinfo>
 #include <unordered_map>
 #include <vector>
@@ -40,9 +39,12 @@ class TraceRecorder {
   /// Begins a local (non-message) span parented to the ambient span.
   uint64_t BeginSpan(const char* category, const char* name);
 
-  /// Begins a span for one in-flight message copy; the name is the
-  /// demangled payload type, interned so the span stores no allocation.
-  uint64_t BeginMessageSpan(const std::type_info& payload_type,
+  /// Begins a span for one in-flight message copy. The name is the
+  /// demangled payload type, cached under the payload's type slot
+  /// (net::PayloadSlot), so the hot path hashes no type name and the
+  /// span stores no allocation.
+  uint64_t BeginMessageSpan(uint32_t type_slot,
+                            const std::type_info& payload_type,
                             int64_t from, int64_t to, uint64_t bytes);
 
   /// Completes a span. `wall_us` >= 0 attaches a measured real
@@ -78,23 +80,20 @@ class TraceRecorder {
   uint64_t spans_begun() const { return next_id_ - 1; }
   size_t open_spans() const { return open_.size(); }
 
-  /// Demangles and interns a payload type name; the returned pointer
-  /// stays valid for the recorder's lifetime.
-  const char* InternTypeName(const std::type_info& type);
-
-  void Clear();
-
   static constexpr size_t kDefaultRingCapacity = 1 << 16;
 
  private:
+  /// Demangled name of the payload type in `type_slot`, demangled on
+  /// first use; the pointer stays valid for the recorder's lifetime.
+  const char* MessageName(uint32_t type_slot, const std::type_info& type);
   void Finish(uint64_t id, double wall_us, bool dropped);
 
   sim::Simulator* sim_;
   uint64_t next_id_ = 1;  // 0 is "no span"
   uint64_t current_ = 0;
   std::unordered_map<uint64_t, SpanRecord> open_;
-  // unique_ptr<string> so interned c_str() pointers survive rehashing.
-  std::unordered_map<std::type_index, std::unique_ptr<std::string>> names_;
+  // By type slot; unique_ptr<string> so c_str() pointers survive growth.
+  std::vector<std::unique_ptr<std::string>> names_;
   FlightRecorder flight_;
 };
 

@@ -13,28 +13,43 @@ namespace fuxi::sim {
 /// Virtual time in seconds since simulation start.
 using SimTime = double;
 
+/// Per-slot event states shared by a Simulator and its handles. Entry
+/// `slot` holds 2 * generation + cancelled bit: it is even while the
+/// slot's current event is pending (or firing), odd once that event is
+/// cancelled, and moves to the next even value when the slot is freed.
+using EventSlotStates = std::vector<uint64_t>;
+
 /// Handle for a scheduled event; lets callers cancel pending timers
-/// (e.g. heartbeat timeouts that were answered in time).
+/// (e.g. heartbeat timeouts that were answered in time). It names the
+/// event by (slot, state at scheduling) and holds the simulator's state
+/// table weakly, so it stays safe to ask after the event fired, after
+/// its slot was reused, and after the simulator itself is gone.
 class EventHandle {
  public:
   EventHandle() = default;
 
   /// Cancels the event if it has not fired yet. Idempotent.
   void Cancel() {
-    if (auto p = cancelled_.lock()) *p = true;
+    if (auto states = states_.lock()) {
+      uint64_t& state = (*states)[slot_];
+      if (state == state_) state |= 1;
+    }
   }
 
   bool active() const {
-    auto p = cancelled_.lock();
-    return p && !*p;
+    auto states = states_.lock();
+    return states && (*states)[slot_] == state_;
   }
 
  private:
   friend class Simulator;
-  explicit EventHandle(std::weak_ptr<bool> cancelled)
-      : cancelled_(std::move(cancelled)) {}
+  EventHandle(const std::shared_ptr<EventSlotStates>& states, uint32_t slot,
+              uint64_t state)
+      : states_(states), slot_(slot), state_(state) {}
 
-  std::weak_ptr<bool> cancelled_;
+  std::weak_ptr<EventSlotStates> states_;
+  uint32_t slot_ = 0;
+  uint64_t state_ = 0;
 };
 
 /// Deterministic discrete-event simulator. Events fire in (time,
@@ -112,28 +127,40 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  /// Heap entry: the event's order plus the slot holding its callback.
+  /// 24 bytes, so sifting never touches a callback.
+  struct EventKey {
     SimTime time;
     uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
+    uint32_t slot;
   };
   /// Heap order: the earliest (time, seq) sits at the front.
   struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const EventKey& a, const EventKey& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
+  /// Destroys the slot's callback, advances its state to the next
+  /// generation (so every handle to the old event reads inactive) and
+  /// returns the slot to the free list.
+  void ReleaseSlot(uint32_t slot);
+
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  /// Binary heap under EventLater (std::push_heap/pop_heap). Unlike
-  /// std::priority_queue, whose top() is const, the popped event is
-  /// moved out, so firing never copies its callback or the message
-  /// payload the callback captured.
-  std::vector<Event> queue_;
+  /// Binary heap of keys under EventLater (std::push_heap/pop_heap).
+  /// A cancelled event's key stays queued until it is popped, so
+  /// PendingEvents() and RunUntil see it exactly as they always did.
+  std::vector<EventKey> queue_;
+  /// Callbacks by slot. A slot is taken at scheduling and freed after
+  /// its event fires (or is popped cancelled), so no event allocates
+  /// beyond what its callback captures.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<uint32_t> free_slots_;
+  std::shared_ptr<EventSlotStates> states_ =
+      std::make_shared<EventSlotStates>();
   std::function<void(SimTime)> post_event_hook_;
   uint64_t next_observer_token_ = 1;
   std::vector<std::pair<uint64_t, std::function<void(SimTime)>>>

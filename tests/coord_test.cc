@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "coord/checkpoint_store.h"
 #include "coord/lock_service.h"
 
@@ -164,6 +166,55 @@ TEST_F(LockServiceTest, WatchReleaseReacquireStormElectsExactlyOne) {
   EXPECT_EQ(losers, 17);
   EXPECT_TRUE(locks_.Holder("master").valid());
   EXPECT_NE(locks_.Holder("master"), first_winner);
+}
+
+TEST_F(LockServiceTest, ResolvedEntryAnswersLikeHolderByName) {
+  // The invariant monitor resolves a shard lock's entry once and asks
+  // HolderOf on every event; it must answer what Holder(name) answers.
+  auto expect_holder = [&](const LockService::Lock* entry, NodeId expected) {
+    EXPECT_EQ(locks_.Holder("master"), expected);
+    EXPECT_EQ(locks_.HolderOf(entry), expected);
+  };
+  // Before the lock first exists: no entry, nobody holds it.
+  const LockService::Lock* entry = locks_.Find("master");
+  EXPECT_EQ(entry, nullptr);
+  expect_holder(entry, NodeId());
+
+  ASSERT_TRUE(locks_.TryAcquire("master", NodeId(1), 5).ok());
+  entry = locks_.Find("master");
+  ASSERT_NE(entry, nullptr);
+  expect_holder(entry, NodeId(1));
+  // Entries created later leave the resolved one where it is.
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        locks_.TryAcquire("other" + std::to_string(i), NodeId(9), 1).ok());
+  }
+  EXPECT_EQ(locks_.Find("master"), entry);
+
+  sim_.RunUntil(4.9);
+  expect_holder(entry, NodeId(1));
+  sim_.RunUntil(5.0);  // lease deadline: expired
+  expect_holder(entry, NodeId());
+  ASSERT_TRUE(locks_.TryAcquire("master", NodeId(2), 5).ok());
+  expect_holder(entry, NodeId(2));
+  ASSERT_TRUE(locks_.Release("master", NodeId(2)).ok());
+  expect_holder(entry, NodeId());
+  ASSERT_TRUE(locks_.TryAcquire("master", NodeId(3), 5).ok());
+  expect_holder(entry, NodeId(3));
+  locks_.ExpireNow("master");
+  expect_holder(entry, NodeId());
+  EXPECT_EQ(locks_.Find("master"), entry);
+}
+
+TEST_F(LockServiceTest, WatchingCreatesAnUnheldEntry) {
+  EXPECT_EQ(locks_.Find("standby"), nullptr);
+  locks_.WatchRelease("standby", [] {});
+  const LockService::Lock* entry = locks_.Find("standby");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(locks_.HolderOf(entry).valid());
+  EXPECT_FALSE(locks_.Holder("standby").valid());
+  ASSERT_TRUE(locks_.TryAcquire("standby", NodeId(4), 5).ok());
+  EXPECT_EQ(locks_.HolderOf(entry), NodeId(4));
 }
 
 TEST(CheckpointStoreTest, PutGetRoundTrip) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
+
+#include "common/strings.h"
+#include "obs/metrics_registry.h"
 
 #include "wire/wire.h"
 
@@ -360,6 +367,138 @@ TEST_F(NetworkTest, ReplaceHandleAllowsDeliberateTakeover) {
   sim_.RunToCompletion();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
+}
+
+TEST_F(NetworkTest, ReplaceHandleRegistersAFreshType) {
+  int pongs = 0;
+  b_.ReplaceHandle<Pong>([&](const Envelope&, const Pong&) { ++pongs; });
+  network_.Send(NodeId(1), NodeId(2), Pong{1});
+  sim_.RunToCompletion();
+  EXPECT_EQ(pongs, 1);
+  EXPECT_EQ(b_.unhandled(), 0u);
+  // Taken now: a plain Handle for the same type is the wiring bug.
+  EXPECT_DEATH(b_.Handle<Pong>([](const Envelope&, const Pong&) {}),
+               "duplicate handler registration");
+}
+
+template <int N>
+struct LateType {
+  int value = N;
+};
+
+TEST_F(NetworkTest, HandlerMayRegisterHandlersWhileItRuns) {
+  // Registering types from inside a handler grows the endpoint's handler
+  // table under the running handler; the running one must survive it.
+  int seen = 0;
+  int late = 0;
+  b_.Handle<Ping>([&](const Envelope&, const Ping& ping) {
+    [&]<int... N>(std::integer_sequence<int, N...>) {
+      (b_.Handle<LateType<N>>(
+           [&](const Envelope&, const LateType<N>& m) { late += m.value; }),
+       ...);
+    }(std::make_integer_sequence<int, 32>{});
+    seen = ping.value;  // reads the handler's captures after the growth
+  });
+  network_.Send(NodeId(1), NodeId(2), Ping{7});
+  sim_.RunToCompletion();
+  EXPECT_EQ(seen, 7);
+  network_.Send(NodeId(1), NodeId(2), LateType<31>{});
+  network_.Send(NodeId(1), NodeId(2), LateType<3>{});
+  sim_.RunToCompletion();
+  EXPECT_EQ(late, 34);
+  EXPECT_EQ(b_.unhandled(), 0u);
+}
+
+TEST_F(NetworkTest, UnhandledPayloadsCountedByDemangledTypeName) {
+  obs::MetricsRegistry metrics;
+  network_.SetObservability(nullptr, &metrics);
+  b_.Handle<Ping>([](const Envelope&, const Ping&) {});
+  network_.Send(NodeId(1), NodeId(2), std::string("a"));
+  network_.Send(NodeId(1), NodeId(2), Pong{1});
+  network_.Send(NodeId(1), NodeId(2), std::string("b"));
+  network_.Send(NodeId(1), NodeId(2), Ping{1});
+  sim_.RunToCompletion();
+
+  EXPECT_EQ(b_.unhandled(), 3u);
+  const std::string string_name = Demangle(typeid(std::string).name());
+  const std::string pong_name = Demangle(typeid(Pong).name());
+  std::map<std::string, uint64_t> by_type = b_.UnhandledByType();
+  EXPECT_EQ(by_type, (std::map<std::string, uint64_t>{{string_name, 2},
+                                                      {pong_name, 1}}));
+  EXPECT_EQ(metrics.GetCounter("net.unhandled." + string_name)->value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("net.unhandled." + pong_name)->value(), 1u);
+}
+
+TEST_F(NetworkTest, EnvelopeCarriesThePayloadTypeSlot) {
+  uint32_t seen = 0;
+  b_.Handle<Pong>(
+      [&](const Envelope& env, const Pong&) { seen = env.type_slot; });
+  network_.Send(NodeId(1), NodeId(2), Pong{1});
+  sim_.RunToCompletion();
+  EXPECT_EQ(seen, PayloadSlot<Pong>());
+  EXPECT_NE(PayloadSlot<Ping>(), PayloadSlot<Pong>());
+  EXPECT_EQ(PayloadSlot<Pong>(), PayloadSlot<Pong>());
+}
+
+TEST(EndpointTest, UnstampedEnvelopeIsUnhandled) {
+  // Only Network::Send stamps type slots. A hand-built envelope carries
+  // kNoPayloadSlot and must not reach a handler for some other slot.
+  Endpoint endpoint;
+  int pings = 0;
+  endpoint.Handle<Ping>([&](const Envelope&, const Ping&) { ++pings; });
+  Envelope env;
+  env.payload = Ping{1};
+  EXPECT_EQ(env.type_slot, kNoPayloadSlot);
+  EXPECT_FALSE(endpoint.Dispatch(env));
+  EXPECT_EQ(pings, 0);
+  EXPECT_EQ(endpoint.unhandled(), 1u);
+  EXPECT_EQ(endpoint.UnhandledByType(),
+            (std::map<std::string, uint64_t>{
+                {Demangle(typeid(Ping).name()), 1}}));
+}
+
+TEST(EndpointTest, MismatchedTypeSlotFailsItsCheck) {
+  Endpoint endpoint;
+  endpoint.Handle<Ping>([](const Envelope&, const Ping&) {});
+  Envelope env;
+  env.type_slot = PayloadSlot<Ping>();
+  env.payload = Pong{1};
+  EXPECT_DEATH(endpoint.Dispatch(env), "does not match its payload");
+}
+
+TEST_F(NetworkTest, InFlightSlotsAreReusedWithoutMixingPayloads) {
+  // Deliveries free their slab slots; later sends reuse them. Every
+  // message must still arrive once, with its own payload, in the
+  // latency-jittered order the simulator decides.
+  std::vector<int> received;
+  b_.Handle<Ping>([&](const Envelope&, const Ping& ping) {
+    received.push_back(ping.value);
+  });
+  b_.Handle<Pong>([&](const Envelope& env, const Pong& pong) {
+    // Replies sent from inside a handler take slots while this
+    // envelope is still being delivered in place.
+    if (pong.value > 0) {
+      network_.Send(NodeId(1), NodeId(2), Ping{1000 + pong.value});
+      network_.Send(env.from, NodeId(2), Pong{pong.value - 1});
+    }
+  });
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      network_.Send(NodeId(1), NodeId(2), Ping{round * 100 + i});
+    }
+    network_.Send(NodeId(1), NodeId(2), Pong{5});
+    sim_.RunToCompletion();
+  }
+  std::sort(received.begin(), received.end());
+  std::vector<int> expected;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 20; ++i) expected.push_back(round * 100 + i);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (int v = 1; v <= 5; ++v) expected.push_back(1000 + v);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(received, expected);
 }
 
 }  // namespace

@@ -312,7 +312,8 @@ TEST_F(NetworkTraceTest, UnhandledPayloadsCountedPerType) {
 TEST(ExporterTest, ChromeTraceRoundTripsThroughJsonParser) {
   sim::Simulator sim;
   TraceRecorder rec(&sim);
-  uint64_t parent = rec.BeginMessageSpan(typeid(PingRpc), 1, 2, 128);
+  uint64_t parent = rec.BeginMessageSpan(net::PayloadSlot<PingRpc>(),
+                                         typeid(PingRpc), 1, 2, 128);
   uint64_t child = 0;
   {
     TraceRecorder::Scope scope(&rec, parent);
@@ -320,7 +321,8 @@ TEST(ExporterTest, ChromeTraceRoundTripsThroughJsonParser) {
     rec.EndSpan(child, /*wall_us=*/42.0);
   }
   rec.EndSpan(parent);
-  uint64_t dropped = rec.BeginMessageSpan(typeid(RelayRpc), 2, 3, 64);
+  uint64_t dropped = rec.BeginMessageSpan(net::PayloadSlot<RelayRpc>(),
+                                          typeid(RelayRpc), 2, 3, 64);
   rec.DropSpan(dropped);
 
   std::string text = ExportChromeTrace(rec.Snapshot());

@@ -18,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/campaign.h"
@@ -360,6 +362,76 @@ TEST(ConcurrentClusters, TraceCounterIdsAreClusterScoped) {
   EXPECT_EQ(concurrent[1], alone)
       << "two identical clusters must emit identical span-id sequences "
          "even when they run concurrently";
+}
+
+template <int N>
+struct SlotProbe {
+  int value = N + 1;
+};
+
+TEST(ConcurrentClusters, PayloadTypeSlotsRegisterRaceFree) {
+  // A payload type takes its dispatch slot on first use, process-wide.
+  // Two clusters start at once on sweep threads, so both register the
+  // stack's message types, plus a batch of probe types nothing else
+  // uses, concurrently (the TSan leg checks that this is race-free).
+  // The concurrent pass runs first, while the probe types are still
+  // unregistered. Each cluster must then match a run on its own.
+  auto run_cluster = [](uint64_t seed, std::atomic<int>* arrived) {
+    if (arrived != nullptr) {
+      // Line both workers up so the registrations really overlap.
+      arrived->fetch_add(1);
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      while (arrived->load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+      }
+    }
+    net::Endpoint sender;
+    net::Endpoint receiver;
+    runtime::SimClusterOptions options;
+    options.seed = seed;
+    options.topology.racks = 1;
+    options.topology.machines_per_rack = 2;
+    runtime::SimCluster cluster(options);
+    NodeId from = cluster.AllocateNodeId();
+    NodeId to = cluster.AllocateNodeId();
+    cluster.network().Register(from, &sender);
+    cluster.network().Register(to, &receiver);
+    int received = 0;
+    std::vector<uint32_t> slots;
+    [&]<int... N>(std::integer_sequence<int, N...>) {
+      (receiver.Handle<SlotProbe<N>>(
+           [&received](const net::Envelope&, const SlotProbe<N>& probe) {
+             received += probe.value;
+           }),
+       ...);
+      (cluster.network().Send(from, to, SlotProbe<N>{}), ...);
+      (slots.push_back(net::PayloadSlot<SlotProbe<N>>()), ...);
+    }(std::make_integer_sequence<int, 16>{});
+    cluster.Start();
+    cluster.RunFor(5.0);
+    std::string fingerprint =
+        "received=" + std::to_string(received) + ";" +
+        obs::StripRealtimeRows(obs::MetricsToCsv(cluster.obs().metrics));
+    return std::make_pair(fingerprint, slots);
+  };
+
+  std::vector<std::pair<std::string, std::vector<uint32_t>>> concurrent(2);
+  std::atomic<int> arrived{0};
+  sweep::SweepRunner runner({2});
+  runner.Run(2, [&](size_t i) {
+    concurrent[i] = run_cluster(31 + i, &arrived);
+  });
+  for (size_t i = 0; i < 2; ++i) {
+    auto alone = run_cluster(31 + i, nullptr);
+    EXPECT_EQ(concurrent[i].first, alone.first) << "cluster " << i;
+    EXPECT_EQ(concurrent[i].second, alone.second) << "cluster " << i;
+    EXPECT_NE(alone.first.find("received=136;"), std::string::npos);
+  }
+  const std::vector<uint32_t>& slots = concurrent[0].second;
+  EXPECT_EQ(std::set<uint32_t>(slots.begin(), slots.end()).size(),
+            slots.size())
+      << "every probe type must own a distinct slot";
 }
 
 }  // namespace
