@@ -34,18 +34,16 @@
 // Exit status is non-zero when any campaign violates an invariant or
 // fails to complete; the failure dump contains the fault schedule and
 // the digest trace, both of which replay byte-identically from the
-// seed. When a campaign fails, the flight-recorder snapshot taken at
-// the first violation is written to fuxi_trace_seed<N>.json — load it
-// in Perfetto or run tools/trace_stats on it to walk the message chain
-// that led to the violation — and the virtual-time telemetry dump to
-// fuxi_telemetry_seed<N>.json, the input for tools/fuxi_dash (single
-// -seed replays write both even on PASS, plus fuxi_audit_seed<N>.json
-// for fuxi_explain / fuxi_explain --tenant). --sweep-metrics PATH
-// writes
-// the sweep runner's own accounting (tasks/steals/workers/wall) as a
-// MetricsToCsv file. All per-seed artifact files are written from the
-// main thread after the sweep joined, so parallel runs never
-// interleave dumps.
+// seed. A failing campaign, and any single-seed replay even on PASS,
+// writes one incident bundle, fuxi_incident_seed<N>.json
+// (chaos::IncidentJson): the flight-recorder snapshot taken at the
+// first violation (a Chrome trace, so it loads in Perfetto), the
+// decision audit, the virtual-time telemetry dump and the end-of-run
+// metrics. `fuxi spans|wire|explain|dash <bundle>` navigates it.
+// --sweep-metrics PATH writes the sweep runner's own accounting
+// (tasks/steals/workers/wall) as a bundle holding only `metrics`.
+// Bundles are written from the main thread after the sweep joined, so
+// parallel runs never interleave dumps.
 
 #include <chrono>
 #include <cstdio>
@@ -63,7 +61,7 @@
 namespace {
 
 /// Prints one campaign's result line and, for failures or single-seed
-/// replays, the full dump plus per-seed artifact files. Called from the
+/// replays, the full dump plus the incident bundle. Called from the
 /// main thread only, in seed order.
 bool Report(const fuxi::chaos::CampaignResult& result, bool single) {
   std::printf(
@@ -80,57 +78,31 @@ bool Report(const fuxi::chaos::CampaignResult& result, bool single) {
   if (!result.ok() || single) {
     std::string dump = fuxi::chaos::FormatCampaignFailure(result);
     std::fputs(dump.c_str(), result.ok() ? stdout : stderr);
-    uint64_t seed = result.seed;
-    if (!result.chrome_trace.empty()) {
-      std::string path = "fuxi_trace_seed" + std::to_string(seed) + ".json";
-      std::ofstream out(path, std::ios::binary);
-      out << result.chrome_trace;
-      std::fprintf(stderr, "flight-recorder trace written to %s\n",
-                   path.c_str());
-    }
-    if (single && !result.metrics_csv.empty()) {
-      std::string path = "fuxi_metrics_seed" + std::to_string(seed) + ".csv";
-      std::ofstream out(path, std::ios::binary);
-      out << result.metrics_csv;
-      std::fprintf(stderr,
-                   "metrics dump written to %s (per-type wire bytes: "
-                   "trace_stats --metrics %s)\n",
-                   path.c_str(), path.c_str());
-    }
-    if (!result.audit_json.empty()) {
-      std::string path = "fuxi_audit_seed" + std::to_string(seed) + ".json";
-      std::ofstream out(path, std::ios::binary);
-      out << result.audit_json;
-      std::fprintf(stderr,
-                   "decision-audit dump written to %s (query with "
-                   "fuxi_explain)\n",
-                   path.c_str());
-    }
-    if (!result.telemetry_json.empty()) {
-      std::string path =
-          "fuxi_telemetry_seed" + std::to_string(seed) + ".json";
-      std::ofstream out(path, std::ios::binary);
-      out << result.telemetry_json;
-      std::fprintf(stderr,
-                   "telemetry dump written to %s (render with fuxi_dash)\n",
-                   path.c_str());
-    }
+    std::string path =
+        "fuxi_incident_seed" + std::to_string(result.seed) + ".json";
+    std::ofstream out(path, std::ios::binary);
+    out << fuxi::chaos::IncidentJson(result).Dump();
+    std::fprintf(stderr,
+                 "incident bundle written to %s (navigate with "
+                 "fuxi spans|wire|explain|dash %s)\n",
+                 path.c_str(), path.c_str());
   }
   return result.ok();
 }
 
-/// Writes the sweep runner's accounting as a MetricsToCsv dump — the
-/// same shape `trace_stats --metrics` renders. stderr-noted, never on
+/// Writes the sweep runner's accounting as a bundle holding only the
+/// `metrics` section, which `fuxi wire` renders. stderr-noted, never on
 /// stdout: the realtime rows (steals/workers/wall) vary run to run.
 void WriteSweepMetrics(const fuxi::sweep::SweepRunnerStats& stats,
                        const char* path) {
   fuxi::obs::MetricsRegistry registry;
   fuxi::sweep::ExportStats(stats, &registry);
+  fuxi::Json bundle = fuxi::Json::MakeObject();
+  bundle["metrics"] = fuxi::obs::MetricsToCsv(registry);
   std::ofstream out(path, std::ios::binary);
-  out << fuxi::obs::MetricsToCsv(registry);
+  out << bundle.Dump();
   std::fprintf(stderr,
-               "sweep metrics written to %s (render with "
-               "trace_stats --metrics %s)\n",
+               "sweep metrics written to %s (render with fuxi wire %s)\n",
                path, path);
 }
 
@@ -188,7 +160,7 @@ int main(int argc, char** argv) {
   config.tenants = tenants;
   config.tenant_depth = tenant_depth;
   // Single-seed replays always export the decision audit so
-  // fuxi_explain (including --tenant) has input even on PASS.
+  // `fuxi explain` (including --tenant) has input even on PASS.
   config.dump_audit = single;
   if (seed_restore_bug) {
     config.seed_restore_bug = true;

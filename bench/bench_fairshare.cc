@@ -14,8 +14,9 @@
 //
 //   bench_fairshare --audit PATH   # also write the starvation gate's
 //                                  # decision-audit dump: a clamp-rich
-//                                  # input for fuxi_explain --tenant
-//                                  # (see EXPERIMENTS.md)
+//                                  # input for fuxi explain --tenant (a
+//                                  # one-section incident bundle; see
+//                                  # EXPERIMENTS.md)
 
 #include <algorithm>
 #include <chrono>
@@ -159,8 +160,8 @@ bool StarvationFreedomGate(const char* audit_path) {
     std::ofstream out(audit_path, std::ios::binary);
     out << obs::ExportAuditJson(audit.Snapshot());
     std::printf("decision-audit dump written to %s (query with "
-                "fuxi_explain --tenant)\n",
-                audit_path);
+                "fuxi explain %s --tenant)\n",
+                audit_path, audit_path);
   }
   return ok;
 }

@@ -104,10 +104,10 @@ RunStats RunTrace(const std::vector<TraceJob>& trace, int machines,
   if (metrics != nullptr) scheduler.set_metrics(metrics);
 
   // FUXI_BENCH_AUDIT=<path>: export the planned run's decision-audit
-  // dump for fuxi_explain (e.g. `fuxi_explain dump.json --timeline 3`
-  // renders machine 3's planner reservation future). The bench owns
-  // the audit clock; RunUntil() on an empty queue just advances it, so
-  // records are stamped with the trace's virtual time.
+  // dump, a one-section incident bundle (`fuxi explain dump.json
+  // --timeline 3` renders machine 3's planner reservation future). The
+  // bench owns the audit clock; RunUntil() on an empty queue just
+  // advances it, so records are stamped with the trace's virtual time.
   sim::Simulator audit_clock;
   obs::AuditLog audit(&audit_clock, nullptr, /*capacity=*/1 << 16);
   const char* audit_path = std::getenv("FUXI_BENCH_AUDIT");

@@ -126,7 +126,7 @@ class FuxiAgent : public sim::Actor {
 
   /// Wires the cluster decision-audit log in (null detaches). Each
   /// compulsory worker kill (capacity ensurance / overload eviction)
-  /// commits a kAgentKill record so `fuxi_explain` can attribute lost
+  /// commits a kAgentKill record so `fuxi explain` can attribute lost
   /// workers to the agent-side enforcement that killed them.
   void set_audit(obs::AuditLog* audit) { audit_ = audit; }
 

@@ -508,7 +508,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
     result.chrome_trace = monitor.trace_dump();
     result.audit_json = monitor.audit_dump();
   } else if (config.dump_audit) {
-    // PASS replays can still carry the decision audit (fuxi_explain
+    // PASS replays can still carry the decision audit (`fuxi explain`
     // input); audit_json is not folded into replay_digest, so this
     // cannot perturb the determinism comparisons.
     result.audit_json = obs::ExportAuditJson(cluster.obs().audit.Snapshot());
@@ -579,8 +579,8 @@ std::string FormatCampaignFailure(const CampaignResult& result) {
     out << "-- flight recorder --\n"
         << "chrome_trace: " << spans
         << " spans of trace_event JSON captured at the first violation "
-           "(write to a .json file, open in Perfetto, or feed to "
-           "trace_stats)\n";
+           "(traceEvents of the incident bundle: open in Perfetto, or "
+           "run fuxi spans)\n";
   }
   if (!result.audit_json.empty()) {
     size_t records = 0;
@@ -591,10 +591,34 @@ std::string FormatCampaignFailure(const CampaignResult& result) {
     }
     out << "-- decision audit --\n"
         << "audit_json: " << records
-        << " decision records captured at the first violation (write to "
-           "a .json file and feed to fuxi_explain)\n";
+        << " decision records captured at the first violation "
+           "(auditRecords of the incident bundle: run fuxi explain)\n";
   }
   return out.str();
+}
+
+Json IncidentJson(const CampaignResult& result) {
+  // The sections are re-parsed from the result's strings: they are
+  // captured as text at the violation and only bundled at dump time.
+  auto parse = [](const std::string& text) {
+    Result<Json> parsed = Json::Parse(text);
+    FUXI_CHECK(parsed.ok()) << parsed.status().message();
+    return std::move(parsed).value();
+  };
+  Json doc = Json::MakeObject();
+  if (!result.chrome_trace.empty()) {
+    Json trace = parse(result.chrome_trace);
+    doc["traceEvents"] = *trace.Find("traceEvents");
+    doc["displayTimeUnit"] = *trace.Find("displayTimeUnit");
+  }
+  if (!result.audit_json.empty()) {
+    doc["auditRecords"] = *parse(result.audit_json).Find("auditRecords");
+  }
+  if (!result.telemetry_json.empty()) {
+    doc["telemetry"] = parse(result.telemetry_json);
+  }
+  if (!result.metrics_csv.empty()) doc["metrics"] = result.metrics_csv;
+  return doc;
 }
 
 SweepResult RunSeedSweep(uint64_t first_seed, int count,

@@ -7,6 +7,7 @@
 
 #include "chaos/fault_schedule.h"
 #include "chaos/invariant_monitor.h"
+#include "common/json.h"
 #include "obs/telemetry.h"
 #include "runtime/sim_cluster.h"
 
@@ -59,7 +60,7 @@ struct CampaignConfig {
   bool seed_restore_bug = false;
   /// Snapshot the decision-audit ring into the result even on PASS
   /// (failures always capture it). Single-seed replays set this so
-  /// fuxi_explain — including --tenant rejection chains — always has
+  /// `fuxi explain` — including --tenant rejection chains — always has
   /// input to work with.
   bool dump_audit = false;
   InvariantMonitorOptions monitor;
@@ -87,17 +88,17 @@ struct CampaignResult {
   std::string chrome_trace;
   /// Decision-audit JSON from the audit ring, snapshotted at the first
   /// violation (see InvariantMonitor::audit_dump) — the input for
-  /// tools/fuxi_explain. Fully virtual-time stamped, so unlike
+  /// `fuxi explain`. Fully virtual-time stamped, so unlike
   /// chrome_trace it replays byte-identically from the seed.
   std::string audit_json;
   /// End-of-run metrics registry dump (obs::MetricsToCsv), always
   /// captured. Carries the exact per-message-type wire accounting
-  /// (net.msgs.<type> / net.bytes.<type>) — feed it to
-  /// `trace_stats --metrics` for the byte-volume table.
+  /// (net.msgs.<type> / net.bytes.<type>) — `fuxi wire` renders the
+  /// byte-volume table.
   std::string metrics_csv;
   /// Virtual-time telemetry dump (obs::ExportTelemetryJson): every
   /// sampled series delta-encoded plus the watchdog event log — the
-  /// input for tools/fuxi_dash. Captured whenever the sampler ran;
+  /// input for `fuxi dash`. Captured whenever the sampler ran;
   /// empty when telemetry is disabled. Like
   /// metrics_csv it is NOT folded into replay_digest: deterministic
   /// series are compared separately by the telemetry battery, and the
@@ -138,6 +139,19 @@ CampaignConfig ShardedCampaignConfig(int shards);
 /// everything needed to replay the failure from its seed.
 std::string FormatCampaignFailure(const CampaignResult& result);
 
+/// The incident bundle: one JSON object holding every machine-readable
+/// artifact of the campaign, each under its own key and present only
+/// when captured —
+///   traceEvents, displayTimeUnit  the flight recorder (ChromeTraceJson),
+///                                 so the file still opens in Perfetto;
+///   auditRecords                  the decision audit (AuditJson);
+///   telemetry                     the TelemetryJson document, nested
+///                                 because the Chrome trace format
+///                                 reserves a top-level `samples`;
+///   metrics                       the MetricsToCsv text as one string.
+/// `fuxi spans|wire|explain|dash` reads it.
+Json IncidentJson(const CampaignResult& result);
+
 struct SweepResult {
   int passed = 0;
   int failed = 0;
@@ -153,8 +167,8 @@ struct SweepResult {
   double wall_seconds = 0;
   /// The runner's accounting exported through a MetricsRegistry
   /// (sweep::ExportStats) as obs::MetricsToCsv — sweep.tasks is
-  /// deterministic, the steal/worker/wall rows carry realtime=1. Feed
-  /// it to `trace_stats --metrics` for the parallel-sweep health table.
+  /// deterministic, the steal/worker/wall rows carry realtime=1.
+  /// `fuxi wire` renders it as the parallel-sweep health table.
   std::string sweep_metrics_csv;
 };
 

@@ -118,7 +118,7 @@ class InvariantMonitor {
 
   /// Decision-audit JSON (obs::ExportAuditJson) dumped at the same
   /// instant as trace_dump: the scheduling decisions leading up to the
-  /// first violation, ready for tools/fuxi_explain. Empty while no
+  /// first violation, ready for `fuxi explain`. Empty while no
   /// violation has been recorded.
   const std::string& audit_dump() const { return audit_dump_; }
 

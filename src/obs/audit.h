@@ -156,7 +156,7 @@ std::string ExportAuditJson(const std::vector<DecisionRecord>& records);
 /// optional fields). Unknown kind/reason names map to defaults.
 std::vector<DecisionRecord> AuditRecordsFromJson(const Json& doc);
 
-// --- queries (shared by tools/fuxi_explain and the tests) --------------
+// --- queries (shared by `fuxi explain` and the tests) ------------------
 
 /// Records that mention demand (app, slot): as subject, or as a pass
 /// candidate. Order preserved (oldest first).
@@ -171,7 +171,7 @@ std::vector<const DecisionRecord*> ExplainMachine(
 /// outcome in record order — candidate rejections, record-level
 /// placement failures (kNoFreeMachines), and lost grants synthesized as
 /// kGrantRevoked outcomes. An unplaced demand always has a non-empty
-/// chain (the fuxi_explain acceptance contract).
+/// chain (the `fuxi explain --unplaced` acceptance contract).
 std::vector<CandidateOutcome> RejectionChain(
     const std::vector<DecisionRecord>& records, int64_t app, uint32_t slot);
 

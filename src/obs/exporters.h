@@ -17,8 +17,9 @@ namespace fuxi::obs {
 /// when measured, the real wall-clock cost.
 std::string ExportChromeTrace(const std::vector<SpanRecord>& spans);
 
-/// Same document as a Json value, for tests and tools that inspect the
-/// dump instead of writing it to disk.
+/// Same document as a Json value, for tests that inspect the dump; its
+/// traceEvents and displayTimeUnit are the incident bundle's trace
+/// sections (chaos::IncidentJson).
 Json ChromeTraceJson(const std::vector<SpanRecord>& spans);
 
 /// All instruments as one JSON object.

@@ -289,7 +289,7 @@ std::string ExportTelemetryJson(const TelemetrySampler& sampler,
                                 bool include_realtime = true);
 
 /// A parsed telemetry dump with series decoded back to plain values —
-/// what tools/fuxi_dash and the tests consume.
+/// what `fuxi dash` and the tests consume.
 struct TelemetryDump {
   struct Series {
     std::string name;

@@ -283,7 +283,7 @@ class ClusterPlanner {
   void UpdatePointsGauge();
   /// Commits a kReserve decision record; `bookings` become candidates.
   /// Committed bookings (provisional=false) carry `granted` so
-  /// fuxi_explain's grant-flow extraction sees planner-committed grants
+  /// `fuxi explain`'s grant-flow extraction sees planner-committed grants
   /// like any placement; provisional bookings (a reservation in the
   /// future) carry `remaining` instead, so they name their machines for
   /// the --timeline view without counting as grants.

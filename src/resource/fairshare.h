@@ -167,7 +167,7 @@ class FairShareTree {
   /// ancestor clamps the next `unit`, and by how much. `clamped` is the
   /// first saturated ancestor walking leafward→rootward (nullptr when
   /// nothing clamps); `chain` is the human-readable walk rendered into
-  /// kQuotaHeadroom audit notes for `fuxi_explain --tenant`.
+  /// kQuotaHeadroom audit notes for `fuxi explain --tenant`.
   struct HeadroomClamp {
     const Node* clamped = nullptr;
     cluster::ResourceVector headroom;

@@ -86,7 +86,7 @@ std::vector<R> RunIndexed(size_t count, const std::function<R(size_t)>& fn,
 
 /// Publishes a Run()'s accounting through a MetricsRegistry so
 /// parallel-sweep health travels the same export paths as every other
-/// instrument (MetricsToCsv, telemetry dumps, `trace_stats --metrics`):
+/// instrument (MetricsToCsv, telemetry dumps, `fuxi wire`):
 /// counters sweep.tasks / sweep.steals, gauges sweep.workers /
 /// sweep.wall_seconds. Steals, worker count and wall-clock depend on
 /// the host and scheduling luck, so they are tagged realtime;

@@ -471,7 +471,7 @@ TEST(SchedulerAuditTest, HierarchicalClampNoteCarriesTenantChain) {
   }
   ASSERT_NE(chained, nullptr) << "no placement record carries the chain";
   // One hop per bounded ancestor, leafward first; the saturated node is
-  // marked. This is exactly what fuxi_explain --tenant renders.
+  // marked. This is exactly what `fuxi explain --tenant` renders.
   EXPECT_NE(chained->note.find(" | org/team guarantee=("),
             std::string::npos)
       << chained->note;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -8,6 +9,9 @@
 #include "chaos/campaign.h"
 #include "chaos/fault_schedule.h"
 #include "chaos/invariant_monitor.h"
+#include "common/json.h"
+#include "obs/audit.h"
+#include "obs/telemetry.h"
 #include "runtime/sim_cluster.h"
 #include "runtime/synthetic_app.h"
 #include "sweep/sweep_runner.h"
@@ -290,6 +294,109 @@ TEST_F(ScriptedChaosTest, ByteFaultBurstsSurfaceAsDropsNeverViolations) {
 
   cluster.RunFor(30.0);  // burst over: heartbeats + resyncs reconverge
   EXPECT_TRUE(monitor.violations().empty()) << monitor.Summary();
+}
+
+/// The seeded Figure 7 regression, configured like
+/// `bench_chaos_campaign --seed 8 --seed-restore-bug`.
+CampaignResult RunSeededRestoreBug() {
+  CampaignConfig config;
+  config.seed_restore_bug = true;
+  config.cluster.agent.allocation_report_every = 0;
+  config.dump_audit = true;
+  return RunCampaign(8, config);
+}
+
+Json ParseOrDie(const std::string& text) {
+  Result<Json> parsed = Json::Parse(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().message();
+  return parsed.ok() ? parsed.value() : Json();
+}
+
+/// The telemetry section without its realtime-tagged (wall-clock)
+/// series: the part two replays of a seed must agree on byte for byte.
+std::string DeterministicTelemetry(const Json& telemetry) {
+  Json doc = telemetry;
+  Json kept = Json::MakeArray();
+  for (const Json& entry : doc.Find("series")->as_array()) {
+    if (!entry.GetBool("realtime", false)) kept.Append(entry);
+  }
+  doc["series"] = std::move(kept);
+  return doc.Dump();
+}
+
+TEST(IncidentBundle, EverySectionDecodesToTheArtifactItCameFrom) {
+  CampaignResult result = RunSeededRestoreBug();
+  ASSERT_FALSE(result.ok()) << "restore bug went undetected";
+  Json bundle = IncidentJson(result);
+  for (const char* section : {"traceEvents", "displayTimeUnit",
+                              "auditRecords", "telemetry", "metrics"}) {
+    EXPECT_NE(bundle.Find(section), nullptr) << "missing " << section;
+  }
+
+  // Audit: the same records, field for field (the export covers every
+  // field of a DecisionRecord).
+  std::vector<obs::DecisionRecord> records =
+      obs::AuditRecordsFromJson(bundle);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(obs::ExportAuditJson(records),
+            obs::ExportAuditJson(obs::AuditRecordsFromJson(
+                ParseOrDie(result.audit_json))));
+
+  // Telemetry: the same decoded series and watchdog events.
+  obs::TelemetryDump from_bundle =
+      obs::TelemetryDumpFromJson(*bundle.Find("telemetry"));
+  obs::TelemetryDump from_result =
+      obs::TelemetryDumpFromJson(ParseOrDie(result.telemetry_json));
+  ASSERT_FALSE(from_bundle.series.empty());
+  EXPECT_EQ(from_bundle.samples, from_result.samples);
+  EXPECT_EQ(from_bundle.interval, from_result.interval);
+  ASSERT_EQ(from_bundle.series.size(), from_result.series.size());
+  for (size_t i = 0; i < from_bundle.series.size(); ++i) {
+    const obs::TelemetryDump::Series& a = from_bundle.series[i];
+    const obs::TelemetryDump::Series& b = from_result.series[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.realtime, b.realtime);
+    EXPECT_EQ(a.first_tick, b.first_tick);
+    EXPECT_EQ(a.total, b.total);
+    EXPECT_EQ(a.values, b.values) << a.name;
+  }
+  ASSERT_EQ(from_bundle.events.size(), from_result.events.size());
+  ASSERT_FALSE(from_bundle.events.empty());
+  for (size_t i = 0; i < from_bundle.events.size(); ++i) {
+    const obs::HealthEvent& a = from_bundle.events[i];
+    const obs::HealthEvent& b = from_result.events[i];
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.rule, b.rule);
+    EXPECT_EQ(a.series, b.series);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.threshold, b.threshold);
+    EXPECT_EQ(a.detail, b.detail);
+  }
+
+  // Trace: one event per span the failure report counts.
+  std::string report = FormatCampaignFailure(result);
+  size_t at = report.find("chrome_trace: ");
+  ASSERT_NE(at, std::string::npos) << report;
+  size_t reported = std::strtoull(report.c_str() + at + 14, nullptr, 10);
+  EXPECT_GT(reported, 0u);
+  EXPECT_EQ(bundle.Find("traceEvents")->as_array().size(), reported);
+
+  // Metrics: the CSV text verbatim.
+  EXPECT_EQ(bundle.Find("metrics")->as_string(), result.metrics_csv);
+}
+
+TEST(IncidentBundle, DeterministicSectionsReplayByteIdentical) {
+  Json first = IncidentJson(RunSeededRestoreBug());
+  Json second = IncidentJson(RunSeededRestoreBug());
+  for (const Json* bundle : {&first, &second}) {
+    ASSERT_NE(bundle->Find("auditRecords"), nullptr);
+    ASSERT_NE(bundle->Find("telemetry"), nullptr);
+  }
+  EXPECT_EQ(first.Find("auditRecords")->Dump(),
+            second.Find("auditRecords")->Dump());
+  EXPECT_EQ(DeterministicTelemetry(*first.Find("telemetry")),
+            DeterministicTelemetry(*second.Find("telemetry")));
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 // layer's decision-neutrality contract (attaching provenance recording
 // can never change a scheduling outcome). At the end of every seed,
 // each demand still waiting must have a non-empty rejection chain in
-// the audit dump (the fuxi_explain "why is this unplaced" contract).
+// the audit dump (the `fuxi explain` "why is this unplaced" contract).
 //
 // Every randomized ResourceRequest is additionally round-tripped
 // through its fuxi::wire codec before being applied (the
@@ -446,7 +446,7 @@ void RunDifferentialSeed(uint64_t seed) {
   }
   driver.CheckStateConverged(apps);
 
-  // The fuxi_explain acceptance contract: every demand still waiting at
+  // The `fuxi explain` acceptance contract: every demand still waiting at
   // the end of the stream must be explainable — its rejection chain in
   // the audit dump is non-empty.
   EXPECT_EQ(driver.audit_log().overwritten(), 0u)

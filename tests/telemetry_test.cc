@@ -421,7 +421,7 @@ TEST(TelemetryWatchdog, SeededBugRaisesHealthEventBeforeViolation) {
   }
   EXPECT_TRUE(stray_rule_fired)
       << "expected the stray-process-leak rule specifically";
-  // The dump carries the same events for fuxi_dash.
+  // The dump carries the same events for `fuxi dash`.
   ASSERT_FALSE(result.telemetry_json.empty());
   EXPECT_NE(result.telemetry_json.find("stray-process-leak"),
             std::string::npos);
