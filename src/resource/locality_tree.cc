@@ -50,8 +50,10 @@ void LocalityTree::AddTotal(PendingDemand* demand, int64_t delta) {
     for (const auto& [rack, count] : demand->rack_remaining) {
       if (count > 0) rack_queues_[rack].insert(EntryFor(*demand));
     }
+    CountLiveShape(demand->def.resources, +1);
   } else if (old_total > 0 && new_total == 0) {
     EraseFromAllQueues(*demand);
+    CountLiveShape(demand->def.resources, -1);
   }
 }
 
@@ -108,7 +110,10 @@ void LocalityTree::SetEffectivePriority(PendingDemand* demand,
 void LocalityTree::Remove(const SlotKey& key) {
   auto it = demands_.find(key);
   if (it == demands_.end()) return;
-  if (it->second->total_remaining > 0) EraseFromAllQueues(*it->second);
+  if (it->second->total_remaining > 0) {
+    EraseFromAllQueues(*it->second);
+    CountLiveShape(it->second->def.resources, -1);
+  }
   by_key_.erase(key);
   demands_.erase(it);
 }
@@ -138,11 +143,22 @@ LocalityLevel LocalityTree::WaitLevelFor(const PendingDemand& demand,
   return LocalityLevel::kCluster;
 }
 
-void LocalityTree::ForEachCandidate(
-    MachineId machine,
+bool LocalityTree::FitsAnyLiveShape(
+    const cluster::ResourceVector& free) const {
+  for (const LiveShape& shape : live_shapes_) {
+    if (free.DivideBy(shape.unit) > 0) return true;
+  }
+  return false;
+}
+
+bool LocalityTree::ForEachCandidate(
+    MachineId machine, const cluster::ResourceVector& free,
     const std::function<int64_t(PendingDemand*, LocalityLevel)>& fn,
     const std::function<void(const PendingDemand&, LocalityLevel)>&
         on_avoided) {
+  // Free only shrinks within the pass, so once it fits no live shape
+  // every remaining candidate would be rejected: end the walk here.
+  if (!FitsAnyLiveShape(free)) return true;
   RackId rack = topology_->machine(machine).rack;
   std::unordered_set<SlotKey, SlotKeyHash> skipped;
 
@@ -228,17 +244,18 @@ void LocalityTree::ForEachCandidate(
       // entries of the same level the set order (seq) already applies.
       if (c.entry->priority > best->entry->priority) best = &c;
     }
-    if (best == nullptr) return;
+    if (best == nullptr) return false;
 
     PendingDemand* demand = Find(best->entry->key);
     FUXI_CHECK(demand != nullptr);
     int64_t granted = fn(demand, best->level);
-    if (granted < 0) return;
+    if (granted < 0) return false;
     if (granted == 0) {
       skipped.insert(best->entry->key);
       continue;
     }
     ConsumeGrant(demand, machine, granted);
+    if (!FitsAnyLiveShape(free)) return true;
   }
 }
 
@@ -290,6 +307,19 @@ bool LocalityTree::CheckInvariants() const {
       if (queued != live) return false;
     }
   }
+  // The live-shape table equals a recount over the live demands.
+  std::vector<LiveShape> recount;
+  for (const auto& [key, demand] : by_key_) {
+    if (demand->total_remaining <= 0) continue;
+    auto it = std::ranges::find(recount, demand->def.resources,
+                                &LiveShape::unit);
+    if (it == recount.end()) {
+      recount.push_back({demand->def.resources, 1});
+    } else {
+      ++it->demands;
+    }
+  }
+  if (!std::ranges::is_permutation(recount, live_shapes_)) return false;
   // Every queue entry must reference a live demand with matching counts.
   auto check_queue = [&](const Queue& queue) {
     for (const QueueEntry& entry : queue) {
@@ -321,6 +351,19 @@ void LocalityTree::SyncQueues(PendingDemand* demand) {
   for (const auto& [rack, count] : demand->rack_remaining) {
     if (count > 0) rack_queues_[rack].insert(EntryFor(*demand));
   }
+}
+
+void LocalityTree::CountLiveShape(const cluster::ResourceVector& unit,
+                                  int64_t delta) {
+  auto it = std::ranges::find(live_shapes_, unit, &LiveShape::unit);
+  if (it == live_shapes_.end()) {
+    FUXI_CHECK_GT(delta, 0);
+    live_shapes_.push_back({unit, delta});
+    return;
+  }
+  it->demands += delta;
+  FUXI_CHECK_GE(it->demands, 0);
+  if (it->demands == 0) live_shapes_.erase(it);
 }
 
 void LocalityTree::EraseFromAllQueues(const PendingDemand& demand) {

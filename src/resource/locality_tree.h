@@ -138,26 +138,40 @@ class LocalityTree {
   LocalityLevel WaitLevelFor(const PendingDemand& demand,
                              MachineId machine) const;
 
-  /// Candidate visitor for a scheduling pass on `machine`.
-  /// Candidates are presented in scheduling order: priority descending,
-  /// then machine-level waiters before rack-level before cluster-level,
-  /// then enqueue order. `fn` returns how many units it granted
-  /// (0 = cannot place now, skip this demand; -1 = stop the pass).
-  /// Granted units are consumed from the tree before the next candidate
-  /// is chosen. `on_avoided`, when set, observes each queued demand the
-  /// walk passes over because `machine` is on its avoid list (at most
-  /// once per queue per pass) — decision-provenance only, it cannot
-  /// influence the walk.
-  void ForEachCandidate(
-      MachineId machine,
+  /// Candidate visitor for a scheduling pass on `machine`, whose free
+  /// pool is `free`. Candidates are presented in scheduling order:
+  /// priority descending, then machine-level waiters before rack-level
+  /// before cluster-level, then enqueue order. `fn` returns how many
+  /// units it granted (0 = cannot place now, skip this demand; -1 = stop
+  /// the pass). Granted units are consumed from the tree before the next
+  /// candidate is chosen. `on_avoided`, when set, observes each queued
+  /// demand the walk passes over because `machine` is on its avoid list
+  /// (at most once per queue per pass) — decision-provenance only, it
+  /// cannot influence the walk.
+  ///
+  /// The walk ends early, before the first candidate and again after
+  /// each grant, once `free.DivideBy(unit) == 0` for every live unit
+  /// shape: `fn` would reject every remaining candidate by the raw
+  /// no-fit test. That is sound because `free` refers to the machine's
+  /// pool and, within one pass, only a grant writes it, and a grant only
+  /// shrinks it. The test is DivideBy, the predicate a fit count uses,
+  /// not FitsIn: the two differ when `free` is negative in a dimension
+  /// the unit does not use. Returns true when the walk ended this way.
+  bool ForEachCandidate(
+      MachineId machine, const cluster::ResourceVector& free,
       const std::function<int64_t(PendingDemand*, LocalityLevel)>& fn,
       const std::function<void(const PendingDemand&, LocalityLevel)>&
           on_avoided = {});
 
   /// True when any demand has outstanding units — the cluster queue
   /// holds every live demand, so this is O(1). Scheduling passes use it
-  /// to skip queue walks entirely on an idle tree.
+  /// to skip queue walks entirely on an idle tree; a walk that does run
+  /// still ends as soon as no live unit shape fits (ForEachCandidate).
   bool HasLiveDemands() const { return !cluster_queue_.empty(); }
+
+  /// True when `free` holds at least one unit of some live demand's
+  /// shape (`free.DivideBy(unit) > 0`). O(distinct live shapes).
+  bool FitsAnyLiveShape(const cluster::ResourceVector& free) const;
 
   /// Sum over demands of total_remaining (unit counts, not resources).
   int64_t TotalWaitingUnits() const;
@@ -201,8 +215,22 @@ class LocalityTree {
                       demand.key};
   }
 
+  /// One distinct unit shape among live demands and how many live
+  /// demands carry it. A demand's def never changes after GetOrCreate,
+  /// so the table moves only when a demand enters or leaves the cluster
+  /// queue.
+  struct LiveShape {
+    cluster::ResourceVector unit;
+    int64_t demands = 0;
+
+    friend bool operator==(const LiveShape&, const LiveShape&) = default;
+  };
+
   void SyncQueues(PendingDemand* demand);
   void EraseFromAllQueues(const PendingDemand& demand);
+  /// Adds `delta` (+1 or -1) live demands of shape `unit`; a shape whose
+  /// count reaches zero leaves the table.
+  void CountLiveShape(const cluster::ResourceVector& unit, int64_t delta);
 
   const cluster::ClusterTopology* topology_;
   uint64_t next_seq_ = 0;
@@ -215,6 +243,7 @@ class LocalityTree {
   std::unordered_map<MachineId, Queue> machine_queues_;
   std::unordered_map<RackId, Queue> rack_queues_;
   Queue cluster_queue_;
+  std::vector<LiveShape> live_shapes_;
 };
 
 }  // namespace fuxi::resource

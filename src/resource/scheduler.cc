@@ -574,9 +574,10 @@ void Scheduler::SchedulePass(MachineId machine, SchedulingResult* result) {
                         demand.total_remaining});
     };
   }
-  tree_.ForEachCandidate(
-      machine,
+  const bool pruned = tree_.ForEachCandidate(
+      machine, state.free,
       [&](PendingDemand* demand, LocalityLevel level) -> int64_t {
+        if (candidates_counter_ != nullptr) candidates_counter_->Add();
         if (options_.max_candidates_per_pass > 0 &&
             ++examined > options_.max_candidates_per_pass) {
           truncated = true;
@@ -626,14 +627,19 @@ void Scheduler::SchedulePass(MachineId machine, SchedulingResult* result) {
         return count;
       },
       on_avoided);
+  const bool granted = result->assignments.size() != grants_before;
   if (record && truncated) rec.reason = obs::RejectReason::kCandidateCap;
+  // A walk that ended because free fits no live shape lists only the
+  // candidates it visited; with no grant that is the pass's verdict.
+  if (record && pruned && !granted) {
+    rec.reason = obs::RejectReason::kNoFreeCapacity;
+  }
   // Only a pass that ran to fixpoint granting nothing is provably
   // idempotent (it mutated no state, so a literal re-run reproduces
   // it); a granting or truncated pass leaves the stale epoch so the
-  // next pass re-walks.
-  if (!truncated && result->assignments.size() == grants_before) {
-    state.last_pass_epoch = world_epoch_;
-  }
+  // next pass re-walks. A pruned pass ran to fixpoint: every candidate
+  // it did not visit would have been rejected.
+  if (!truncated && !granted) state.last_pass_epoch = world_epoch_;
   if (record) audit_->Commit(std::move(rec));
 }
 
@@ -1201,7 +1207,8 @@ void Scheduler::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     tier_machine_counter_ = tier_rack_counter_ = tier_cluster_counter_ =
         preempt_units_counter_ = passes_counter_ = passes_skipped_counter_ =
-            negfit_hit_counter_ = negfit_miss_counter_ = nullptr;
+            candidates_counter_ = negfit_hit_counter_ =
+                negfit_miss_counter_ = nullptr;
     dirty_drain_hist_ = nullptr;
     grant_sites_gauge_ = nullptr;
     fairshare_nodes_gauge_ = nullptr;
@@ -1215,6 +1222,9 @@ void Scheduler::set_metrics(obs::MetricsRegistry* metrics) {
   preempt_units_counter_ = metrics->GetCounter("sched.preempt_units");
   passes_counter_ = metrics->GetCounter("sched.schedule_passes");
   passes_skipped_counter_ = metrics->GetCounter("sched.passes_skipped");
+  // Candidates handed to a pass's visitor: a deterministic count of the
+  // queue walks' work.
+  candidates_counter_ = metrics->GetCounter("sched.candidates_visited");
   // PR 3's incremental-index internals, surfaced for snapshots: the
   // negative-fit cache's hit rate, how much freed capacity each batch
   // teardown re-offers, and the live size of the grant-site index.

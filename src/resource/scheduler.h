@@ -399,6 +399,7 @@ class Scheduler {
   obs::Counter* preempt_units_counter_ = nullptr;
   obs::Counter* passes_counter_ = nullptr;
   obs::Counter* passes_skipped_counter_ = nullptr;
+  obs::Counter* candidates_counter_ = nullptr;
   obs::Counter* negfit_hit_counter_ = nullptr;
   obs::Counter* negfit_miss_counter_ = nullptr;
   Histogram* dirty_drain_hist_ = nullptr;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/topology.h"
+#include "obs/audit.h"
+#include "obs/metrics_registry.h"
 
 namespace fuxi::resource {
 namespace {
@@ -385,6 +387,107 @@ TEST_F(SchedulerTest, VirtualResourceLimitsConcurrency) {
   ASSERT_TRUE(scheduler.ApplyRequest(request, &result).ok());
   // Plenty of CPU/memory, but only 2 virtual tokens per machine.
   EXPECT_EQ(TotalAssigned(result), 4);
+}
+
+/// App 1 fills the cluster with (100, 2048) units; app 2 queues two
+/// (200, 4096) units at priority 10 and app 3 two (100, 2048) units at
+/// priority 5. Single-unit releases then free (100, 2048) on machines 0,
+/// 1 and 2, and a second unit on machine 2.
+void RunReleaseScenario(Scheduler* scheduler) {
+  for (int64_t app = 1; app <= 3; ++app) {
+    ASSERT_TRUE(scheduler->RegisterApp(AppId(app)).ok());
+  }
+  SchedulingResult result;
+  ResourceRequest fill;
+  fill.app = AppId(1);
+  fill.units.push_back(MakeUnit(0, 10, 100, 2048, 24));
+  ASSERT_TRUE(scheduler->ApplyRequest(fill, &result).ok());
+  ASSERT_EQ(TotalAssigned(result), 24);
+  ResourceRequest wide;
+  wide.app = AppId(2);
+  wide.units.push_back(MakeUnit(0, 10, 200, 4096, 2));
+  ASSERT_TRUE(scheduler->ApplyRequest(wide, &result).ok());
+  ResourceRequest narrow;
+  narrow.app = AppId(3);
+  narrow.units.push_back(MakeUnit(0, 5, 100, 2048, 2));
+  ASSERT_TRUE(scheduler->ApplyRequest(narrow, &result).ok());
+  ASSERT_EQ(TotalAssigned(result), 24);
+
+  // Machines 0 and 1: app 2 is visited and rejected, app 3 gets the
+  // freed unit, and free (0) then fits no live shape.
+  for (int64_t m : {0, 1}) {
+    result.Clear();
+    ASSERT_TRUE(scheduler->Release(AppId(1), 0, MachineId(m), 1, &result)
+                    .ok());
+    ASSERT_EQ(TotalAssigned(result), 1);
+    EXPECT_EQ(result.assignments[0].app, AppId(3));
+  }
+  // Machine 2: app 3 is satisfied, so (100, 2048) fits no live shape and
+  // the pass visits nobody. A second freed unit then fits app 2.
+  result.Clear();
+  ASSERT_TRUE(
+      scheduler->Release(AppId(1), 0, MachineId(2), 1, &result).ok());
+  EXPECT_EQ(TotalAssigned(result), 0);
+  ASSERT_TRUE(
+      scheduler->Release(AppId(1), 0, MachineId(2), 1, &result).ok());
+  ASSERT_EQ(TotalAssigned(result), 1);
+  EXPECT_EQ(result.assignments[0].app, AppId(2));
+  EXPECT_TRUE(scheduler->CheckInvariants());
+}
+
+TEST(SchedulerPassTest, CandidatesVisitedRepeatsExactly) {
+  ClusterTopology topo = SmallCluster();
+  uint64_t visited[2] = {0, 0};
+  for (uint64_t& count : visited) {
+    Scheduler scheduler(&topo);
+    obs::MetricsRegistry metrics;
+    scheduler.set_metrics(&metrics);
+    RunReleaseScenario(&scheduler);
+    EXPECT_FALSE(metrics.is_realtime("sched.candidates_visited"));
+    count = metrics.counters().at("sched.candidates_visited")->value();
+  }
+  // Two candidates on machine 0, two on machine 1, none on machine 2's
+  // first pass and one on its second.
+  EXPECT_EQ(visited[0], 5u);
+  EXPECT_EQ(visited[1], visited[0]);
+}
+
+TEST(SchedulerPassTest, PassEndedByNoFittingShapeIsAuditedAsNoFreeCapacity) {
+  ClusterTopology topo = SmallCluster();
+  Scheduler scheduler(&topo);
+  obs::AuditLog log(nullptr, nullptr);
+  scheduler.set_audit(&log);
+  RunReleaseScenario(&scheduler);
+
+  std::vector<const obs::DecisionRecord*> passes;
+  std::vector<obs::DecisionRecord> dump = log.Snapshot();
+  for (const obs::DecisionRecord& r : dump) {
+    if (r.kind == obs::DecisionKind::kPass) passes.push_back(&r);
+  }
+  // Exactly one pass record per release, each listing only the
+  // candidates its walk visited.
+  ASSERT_EQ(passes.size(), 4u);
+  for (int m : {0, 1}) {
+    const obs::DecisionRecord& granting = *passes[m];
+    EXPECT_EQ(granting.machine, m);
+    EXPECT_EQ(granting.reason, obs::RejectReason::kNone);
+    ASSERT_EQ(granting.candidates.size(), 2u);
+    EXPECT_EQ(granting.candidates[0].app, 2);
+    EXPECT_EQ(granting.candidates[0].reason,
+              obs::RejectReason::kNoFreeCapacity);
+    EXPECT_EQ(granting.candidates[1].app, 3);
+    EXPECT_EQ(granting.candidates[1].granted, 1);
+  }
+  const obs::DecisionRecord& pruned = *passes[2];
+  EXPECT_EQ(pruned.machine, 2);
+  EXPECT_EQ(pruned.reason, obs::RejectReason::kNoFreeCapacity);
+  EXPECT_TRUE(pruned.candidates.empty());
+  EXPECT_EQ(passes[3]->machine, 2);
+  EXPECT_EQ(passes[3]->reason, obs::RejectReason::kNone);
+  ASSERT_EQ(passes[3]->candidates.size(), 1u);
+  EXPECT_EQ(passes[3]->candidates[0].granted, 1);
+  // Record ids stay dense: the pruned pass committed its one record.
+  for (size_t i = 0; i < dump.size(); ++i) EXPECT_EQ(dump[i].id, i + 1);
 }
 
 }  // namespace
