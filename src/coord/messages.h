@@ -49,24 +49,14 @@ struct LeaseReplyRpc {
   std::string error;
 };
 
-// ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10); definitions in
-// messages_wire.cc. Bump the version byte on any layout change.
-// ---------------------------------------------------------------------
-
-#define FUXI_COORD_DECLARE_WIRE(TYPE)                  \
-  void WireEncode(wire::Writer& w, const TYPE& m);     \
-  Status WireDecode(wire::Reader& r, TYPE& m);         \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) { \
-    return {wire::MsgTag::k##TYPE, 1};                 \
-  }
-
-FUXI_COORD_DECLARE_WIRE(LeaseAcquireRpc)
-FUXI_COORD_DECLARE_WIRE(LeaseRenewRpc)
-FUXI_COORD_DECLARE_WIRE(LeaseReleaseRpc)
-FUXI_COORD_DECLARE_WIRE(LeaseReplyRpc)
-
-#undef FUXI_COORD_DECLARE_WIRE
+// Wire layouts (fuxi::wire, DESIGN.md §10).
+FUXI_WIRE_MESSAGE(LeaseAcquireRpc, 1, m.name, m.owner, m.lease_seconds,
+                  m.request_id)
+FUXI_WIRE_MESSAGE(LeaseRenewRpc, 1, m.name, m.owner, m.lease_seconds,
+                  m.request_id)
+FUXI_WIRE_MESSAGE(LeaseReleaseRpc, 1, m.name, m.owner, m.request_id)
+FUXI_WIRE_MESSAGE(LeaseReplyRpc, 1, m.request_id, m.granted, m.holder,
+                  m.generation, m.error)
 
 }  // namespace fuxi::coord
 

@@ -64,25 +64,17 @@ struct WorkerStatusReportRpc {
   std::vector<int64_t> completed;
 };
 
-// ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10); definitions in
-// messages_wire.cc. Bump the version byte on any layout change.
-// ---------------------------------------------------------------------
-
-#define FUXI_JOB_DECLARE_WIRE(TYPE)                    \
-  void WireEncode(wire::Writer& w, const TYPE& m);     \
-  Status WireDecode(wire::Reader& r, TYPE& m);         \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) { \
-    return {wire::MsgTag::k##TYPE, 1};                 \
-  }
-
-FUXI_JOB_DECLARE_WIRE(WorkerReadyRpc)
-FUXI_JOB_DECLARE_WIRE(ExecuteInstanceRpc)
-FUXI_JOB_DECLARE_WIRE(CancelInstanceRpc)
-FUXI_JOB_DECLARE_WIRE(InstanceDoneRpc)
-FUXI_JOB_DECLARE_WIRE(WorkerStatusReportRpc)
-
-#undef FUXI_JOB_DECLARE_WIRE
+// Wire layouts (fuxi::wire, DESIGN.md §10).
+FUXI_WIRE_MESSAGE(WorkerReadyRpc, 1, m.app, m.task, m.worker, m.machine,
+                  m.worker_node)
+FUXI_WIRE_MESSAGE(ExecuteInstanceRpc, 1, m.instance, m.is_backup,
+                  m.base_seconds, m.bytes, m.locality_factor)
+FUXI_WIRE_MESSAGE(CancelInstanceRpc, 1, m.instance)
+FUXI_WIRE_MESSAGE(InstanceDoneRpc, 1, m.app, m.task, m.instance, m.is_backup,
+                  m.worker, m.machine, m.elapsed)
+FUXI_WIRE_MESSAGE(WorkerStatusReportRpc, 1, m.app, m.task, m.worker,
+                  m.machine, m.worker_node, m.running_instance, m.progress,
+                  m.completed)
 
 }  // namespace fuxi::job
 

@@ -230,58 +230,46 @@ struct AdoptReplyRpc {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10). Every RPC above is a framed
-// top-level message; definitions live in messages_wire.cc. Bump the
-// version byte in the matching WireTypeInfo when changing a layout.
+// Wire layouts (fuxi::wire, DESIGN.md §10). Every RPC above is a framed
+// top-level message.
 // ---------------------------------------------------------------------
 
-#define FUXI_MASTER_DECLARE_WIRE_V(TYPE, VERSION)          \
-  void WireEncode(wire::Writer& w, const TYPE& m);         \
-  Status WireDecode(wire::Reader& r, TYPE& m);             \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) {     \
-    return {wire::MsgTag::k##TYPE, VERSION};               \
-  }
-/// A migrating message: current layout VERSION, frames back to
-/// MIN_VERSION still decode (the codec branches on r.msg_version()).
-#define FUXI_MASTER_DECLARE_WIRE_RANGE(TYPE, VERSION, MIN_VERSION) \
-  void WireEncode(wire::Writer& w, const TYPE& m);                 \
-  Status WireDecode(wire::Reader& r, TYPE& m);                     \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) {             \
-    return {wire::MsgTag::k##TYPE, VERSION, MIN_VERSION};          \
-  }
-#define FUXI_MASTER_DECLARE_WIRE(TYPE) FUXI_MASTER_DECLARE_WIRE_V(TYPE, 1)
-
 // v2: the embedded StampedRequest carries PlanningHints (fuxi::planner).
-FUXI_MASTER_DECLARE_WIRE_V(RequestRpc, 2)
-FUXI_MASTER_DECLARE_WIRE(GrantRpc)
-FUXI_MASTER_DECLARE_WIRE(ResyncRpc)
-FUXI_MASTER_DECLARE_WIRE(BadMachineReportRpc)
-FUXI_MASTER_DECLARE_WIRE(AgentHeartbeatRpc)
-FUXI_MASTER_DECLARE_WIRE(AgentCapacityRpc)
-FUXI_MASTER_DECLARE_WIRE(AgentHeartbeatAckRpc)
-FUXI_MASTER_DECLARE_WIRE(MasterRecoveryAnnounceRpc)
-FUXI_MASTER_DECLARE_WIRE(ShardStatusRpc)
-// v2: quota_group became tenant_path + weight (v1 frames still decode).
-FUXI_MASTER_DECLARE_WIRE_RANGE(SubmitAppRpc, 2, 1)
-FUXI_MASTER_DECLARE_WIRE(SubmitAppReplyRpc)
-FUXI_MASTER_DECLARE_WIRE(StartAppMasterRpc)
-FUXI_MASTER_DECLARE_WIRE(StopAppRpc)
-FUXI_MASTER_DECLARE_WIRE(StartWorkerRpc)
-FUXI_MASTER_DECLARE_WIRE(WorkerStartedRpc)
-FUXI_MASTER_DECLARE_WIRE(StopWorkerRpc)
-FUXI_MASTER_DECLARE_WIRE(WorkerCrashedRpc)
-FUXI_MASTER_DECLARE_WIRE(AdoptQueryRpc)
-FUXI_MASTER_DECLARE_WIRE(AdoptReplyRpc)
-
-#undef FUXI_MASTER_DECLARE_WIRE
-#undef FUXI_MASTER_DECLARE_WIRE_RANGE
-#undef FUXI_MASTER_DECLARE_WIRE_V
-
-// AgentAllocation and AgentCapacityRpc::Entry are nested (unframed).
-void WireEncode(wire::Writer& w, const AgentAllocation& m);
-Status WireDecode(wire::Reader& r, AgentAllocation& m);
-void WireEncode(wire::Writer& w, const AgentCapacityRpc::Entry& m);
-Status WireDecode(wire::Reader& r, AgentCapacityRpc::Entry& m);
+FUXI_WIRE_MESSAGE(RequestRpc, 2, m.app, m.reply_to, m.incarnation, m.msg)
+FUXI_WIRE_MESSAGE(GrantRpc, 1, m.msg)
+FUXI_WIRE_MESSAGE(ResyncRpc, 1, m.app, m.reply_to, m.incarnation)
+FUXI_WIRE_MESSAGE(BadMachineReportRpc, 1, m.app, m.machine)
+FUXI_WIRE_FIELDS(AgentAllocation, m.app, m.slot_id, m.def, m.count)
+FUXI_WIRE_MESSAGE(AgentHeartbeatRpc, 1, m.machine, m.agent_node, m.seq,
+                  m.health_score, m.capacity, m.carries_allocations,
+                  m.allocations, m.need_capacity)
+FUXI_WIRE_FIELDS(AgentCapacityRpc::Entry, m.app, m.slot_id, m.def, m.delta)
+FUXI_WIRE_MESSAGE(AgentCapacityRpc, 1, m.master_generation, m.seq, m.full,
+                  m.entries)
+FUXI_WIRE_MESSAGE(AgentHeartbeatAckRpc, 1, m.master_generation,
+                  m.need_allocations)
+FUXI_WIRE_MESSAGE(MasterRecoveryAnnounceRpc, 1, m.new_master,
+                  m.master_generation)
+FUXI_WIRE_MESSAGE(ShardStatusRpc, 1, m.shard, m.primary, m.generation,
+                  m.machines_online, m.total, m.granted)
+// v2: quota_group became tenant_path + weight. v1 frames still decode, so
+// the codec is written by hand (messages_wire.cc).
+FUXI_WIRE_MESSAGE(SubmitAppRpc, wire::Versions(2, 1))
+void WireEncode(wire::Writer& w, const SubmitAppRpc& m);
+Status WireDecode(wire::Reader& r, SubmitAppRpc& m);
+FUXI_WIRE_MESSAGE(SubmitAppReplyRpc, 1, m.app, m.accepted, m.error)
+FUXI_WIRE_MESSAGE(StartAppMasterRpc, 1, m.app, m.description)
+FUXI_WIRE_MESSAGE(StopAppRpc, 1, m.app)
+FUXI_WIRE_MESSAGE(StartWorkerRpc, 1, m.app, m.slot_id, m.am_node, m.plan_id,
+                  m.plan)
+FUXI_WIRE_MESSAGE(WorkerStartedRpc, 1, m.plan_id, m.worker, m.machine, m.ok,
+                  m.error, m.running)
+FUXI_WIRE_MESSAGE(StopWorkerRpc, 1, m.worker)
+FUXI_WIRE_MESSAGE(WorkerCrashedRpc, 1, m.app, m.slot_id, m.worker,
+                  m.replacement, m.machine, m.restarted)
+FUXI_WIRE_MESSAGE(AdoptQueryRpc, 1, m.app, m.machine, m.agent_node,
+                  m.workers)
+FUXI_WIRE_MESSAGE(AdoptReplyRpc, 1, m.app, m.machine, m.keep)
 
 }  // namespace fuxi::master
 

@@ -1,152 +1,10 @@
-// Wire codecs for the master control plane (messages.h). Field order is
-// the struct declaration order. Keep each pair in sync and bump the
-// version byte in messages.h when a layout changes.
+// The one hand-written codec of the master control plane: SubmitAppRpc
+// still decodes v1 frames, which end after the client id. Every other
+// layout is a field list in messages.h.
 
 #include "master/messages.h"
 
 namespace fuxi::master {
-
-void WireEncode(wire::Writer& w, const RequestRpc& m) {
-  w.Id(m.app);
-  w.Id(m.reply_to);
-  w.U64(m.incarnation);
-  WireEncode(w, m.msg);
-}
-
-Status WireDecode(wire::Reader& r, RequestRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.reply_to));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.incarnation));
-  return WireDecode(r, m.msg);
-}
-
-void WireEncode(wire::Writer& w, const GrantRpc& m) { WireEncode(w, m.msg); }
-
-Status WireDecode(wire::Reader& r, GrantRpc& m) { return WireDecode(r, m.msg); }
-
-void WireEncode(wire::Writer& w, const ResyncRpc& m) {
-  w.Id(m.app);
-  w.Id(m.reply_to);
-  w.U64(m.incarnation);
-}
-
-Status WireDecode(wire::Reader& r, ResyncRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.reply_to));
-  return r.U64(&m.incarnation);
-}
-
-void WireEncode(wire::Writer& w, const BadMachineReportRpc& m) {
-  w.Id(m.app);
-  w.Id(m.machine);
-}
-
-Status WireDecode(wire::Reader& r, BadMachineReportRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  return r.Id(&m.machine);
-}
-
-void WireEncode(wire::Writer& w, const AgentAllocation& m) {
-  w.Id(m.app);
-  w.U32(m.slot_id);
-  WireEncode(w, m.def);
-  w.I64(m.count);
-}
-
-Status WireDecode(wire::Reader& r, AgentAllocation& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.def));
-  return r.I64(&m.count);
-}
-
-void WireEncode(wire::Writer& w, const AgentHeartbeatRpc& m) {
-  w.Id(m.machine);
-  w.Id(m.agent_node);
-  w.U64(m.seq);
-  w.F64(m.health_score);
-  WireEncode(w, m.capacity);
-  w.Bool(m.carries_allocations);
-  w.Vec(m.allocations);
-  w.Bool(m.need_capacity);
-}
-
-Status WireDecode(wire::Reader& r, AgentHeartbeatRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.agent_node));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.seq));
-  FUXI_RETURN_IF_ERROR(r.F64(&m.health_score));
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.capacity));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.carries_allocations));
-  FUXI_RETURN_IF_ERROR(r.Vec(&m.allocations));
-  return r.Bool(&m.need_capacity);
-}
-
-void WireEncode(wire::Writer& w, const AgentCapacityRpc::Entry& m) {
-  w.Id(m.app);
-  w.U32(m.slot_id);
-  WireEncode(w, m.def);
-  w.I64(m.delta);
-}
-
-Status WireDecode(wire::Reader& r, AgentCapacityRpc::Entry& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.def));
-  return r.I64(&m.delta);
-}
-
-void WireEncode(wire::Writer& w, const AgentCapacityRpc& m) {
-  w.U64(m.master_generation);
-  w.U64(m.seq);
-  w.Bool(m.full);
-  w.Vec(m.entries);
-}
-
-Status WireDecode(wire::Reader& r, AgentCapacityRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.U64(&m.master_generation));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.seq));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.full));
-  return r.Vec(&m.entries);
-}
-
-void WireEncode(wire::Writer& w, const AgentHeartbeatAckRpc& m) {
-  w.U64(m.master_generation);
-  w.Bool(m.need_allocations);
-}
-
-Status WireDecode(wire::Reader& r, AgentHeartbeatAckRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.U64(&m.master_generation));
-  return r.Bool(&m.need_allocations);
-}
-
-void WireEncode(wire::Writer& w, const MasterRecoveryAnnounceRpc& m) {
-  w.Id(m.new_master);
-  w.U64(m.master_generation);
-}
-
-Status WireDecode(wire::Reader& r, MasterRecoveryAnnounceRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.new_master));
-  return r.U64(&m.master_generation);
-}
-
-void WireEncode(wire::Writer& w, const ShardStatusRpc& m) {
-  w.I32(m.shard);
-  w.Id(m.primary);
-  w.U64(m.generation);
-  w.I64(m.machines_online);
-  WireEncode(w, m.total);
-  WireEncode(w, m.granted);
-}
-
-Status WireDecode(wire::Reader& r, ShardStatusRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.I32(&m.shard));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.primary));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.generation));
-  FUXI_RETURN_IF_ERROR(r.I64(&m.machines_online));
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.total));
-  return WireDecode(r, m.granted);
-}
 
 void WireEncode(wire::Writer& w, const SubmitAppRpc& m) {
   w.Id(m.app);
@@ -166,116 +24,6 @@ Status WireDecode(wire::Reader& r, SubmitAppRpc& m) {
   // tenant) and the weight keeps its 1.0 default.
   if (r.msg_version() == 1) return Status::Ok();
   return r.F64(&m.weight);
-}
-
-void WireEncode(wire::Writer& w, const SubmitAppReplyRpc& m) {
-  w.Id(m.app);
-  w.Bool(m.accepted);
-  w.Str(m.error);
-}
-
-Status WireDecode(wire::Reader& r, SubmitAppReplyRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.accepted));
-  return r.Str(&m.error);
-}
-
-void WireEncode(wire::Writer& w, const StartAppMasterRpc& m) {
-  w.Id(m.app);
-  WireEncode(w, m.description);
-}
-
-Status WireDecode(wire::Reader& r, StartAppMasterRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  return WireDecode(r, m.description);
-}
-
-void WireEncode(wire::Writer& w, const StopAppRpc& m) { w.Id(m.app); }
-
-Status WireDecode(wire::Reader& r, StopAppRpc& m) { return r.Id(&m.app); }
-
-void WireEncode(wire::Writer& w, const StartWorkerRpc& m) {
-  w.Id(m.app);
-  w.U32(m.slot_id);
-  w.Id(m.am_node);
-  w.U64(m.plan_id);
-  WireEncode(w, m.plan);
-}
-
-Status WireDecode(wire::Reader& r, StartWorkerRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.am_node));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.plan_id));
-  return WireDecode(r, m.plan);
-}
-
-void WireEncode(wire::Writer& w, const WorkerStartedRpc& m) {
-  w.U64(m.plan_id);
-  w.Id(m.worker);
-  w.Id(m.machine);
-  w.Bool(m.ok);
-  w.Str(m.error);
-  w.Vec(m.running);
-}
-
-Status WireDecode(wire::Reader& r, WorkerStartedRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.U64(&m.plan_id));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.worker));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.ok));
-  FUXI_RETURN_IF_ERROR(r.Str(&m.error));
-  return r.Vec(&m.running);
-}
-
-void WireEncode(wire::Writer& w, const StopWorkerRpc& m) { w.Id(m.worker); }
-
-Status WireDecode(wire::Reader& r, StopWorkerRpc& m) {
-  return r.Id(&m.worker);
-}
-
-void WireEncode(wire::Writer& w, const WorkerCrashedRpc& m) {
-  w.Id(m.app);
-  w.U32(m.slot_id);
-  w.Id(m.worker);
-  w.Id(m.replacement);
-  w.Id(m.machine);
-  w.Bool(m.restarted);
-}
-
-Status WireDecode(wire::Reader& r, WorkerCrashedRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.worker));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.replacement));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  return r.Bool(&m.restarted);
-}
-
-void WireEncode(wire::Writer& w, const AdoptQueryRpc& m) {
-  w.Id(m.app);
-  w.Id(m.machine);
-  w.Id(m.agent_node);
-  w.Vec(m.workers);
-}
-
-Status WireDecode(wire::Reader& r, AdoptQueryRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.agent_node));
-  return r.Vec(&m.workers);
-}
-
-void WireEncode(wire::Writer& w, const AdoptReplyRpc& m) {
-  w.Id(m.app);
-  w.Id(m.machine);
-  w.Vec(m.keep);
-}
-
-Status WireDecode(wire::Reader& r, AdoptReplyRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  return r.Vec(&m.keep);
 }
 
 }  // namespace fuxi::master

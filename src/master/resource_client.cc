@@ -67,7 +67,7 @@ void ResourceClient::Start(net::Endpoint* endpoint) {
         }
       });
   uint64_t life = life_;
-  sim_->Schedule(options_.full_sync_interval, [this, life] {
+  sync_timer_ = sim_->Schedule(options_.full_sync_interval, [this, life] {
     if (running_ && life == life_) PeriodicSync();
   });
 }
@@ -97,7 +97,7 @@ void ResourceClient::SendRecoveryResync() {
   uint64_t life = life_;
   ++retries_scheduled_;
   if (resync_retry_counter_ != nullptr) resync_retry_counter_->Add();
-  sim_->Schedule(resync_backoff_.NextDelay(), [this, life] {
+  resync_timer_ = sim_->Schedule(resync_backoff_.NextDelay(), [this, life] {
     if (running_ && life == life_ && recovering_) SendRecoveryResync();
   });
 }
@@ -105,7 +105,12 @@ void ResourceClient::SendRecoveryResync() {
 void ResourceClient::Stop() {
   running_ = false;
   ++life_;
+  sync_timer_.Cancel();
+  resync_timer_.Cancel();
+  flush_retry_timer_.Cancel();
 }
+
+ResourceClient::~ResourceClient() { Stop(); }
 
 void ResourceClient::DefineUnit(const resource::ScheduleUnitDef& def) {
   SlotState& slot = slots_[def.slot_id];
@@ -222,12 +227,13 @@ void ResourceClient::Flush() {
       if (no_master_retry_counter_ != nullptr) {
         no_master_retry_counter_->Add();
       }
-      sim_->Schedule(flush_backoff_.NextDelay(), [this, life] {
-        if (running_ && life == life_) {
-          retry_scheduled_ = false;
-          Flush();
-        }
-      });
+      flush_retry_timer_ =
+          sim_->Schedule(flush_backoff_.NextDelay(), [this, life] {
+            if (running_ && life == life_) {
+              retry_scheduled_ = false;
+              Flush();
+            }
+          });
     }
     return;
   }
@@ -403,7 +409,7 @@ void ResourceClient::PeriodicSync() {
   need_full_sync_ = true;
   Flush();
   uint64_t life = life_;
-  sim_->Schedule(options_.full_sync_interval, [this, life] {
+  sync_timer_ = sim_->Schedule(options_.full_sync_interval, [this, life] {
     if (running_ && life == life_) PeriodicSync();
   });
 }

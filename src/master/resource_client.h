@@ -57,6 +57,10 @@ class ResourceClient {
   ResourceClient(sim::Simulator* simulator, net::Network* network,
                  coord::LockService* locks, NodeId self, AppId app,
                  Options options = Options(), uint64_t incarnation = 1);
+  /// Cancels the pending timers: their callbacks point at this client.
+  ~ResourceClient();
+  ResourceClient(const ResourceClient&) = delete;
+  ResourceClient& operator=(const ResourceClient&) = delete;
 
   /// Registers protocol handlers on the owning actor's endpoint and
   /// starts the periodic sync. Call once.
@@ -184,6 +188,11 @@ class ResourceClient {
 
   Backoff resync_backoff_;
   Backoff flush_backoff_;
+  /// The pending timer of each kind; Stop() and the destructor cancel
+  /// them so no callback outlives the client.
+  sim::EventHandle sync_timer_;
+  sim::EventHandle resync_timer_;
+  sim::EventHandle flush_retry_timer_;
   uint64_t retries_scheduled_ = 0;
   obs::Counter* resync_retry_counter_ = nullptr;
   obs::Counter* no_master_retry_counter_ = nullptr;

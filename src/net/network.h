@@ -159,8 +159,7 @@ class Endpoint {
 
 /// Aggregate transport counters, used by the incremental-communication
 /// ablation benchmark to compare message/byte volumes. `bytes_sent` is
-/// the sum of exact encoded frame sizes (sizeof(T) for the rare payload
-/// without a wire codec — test-only types).
+/// the sum of exact encoded frame sizes.
 struct NetworkStats {
   uint64_t messages_sent = 0;
   uint64_t messages_delivered = 0;
@@ -277,54 +276,45 @@ class Network {
 
   /// Sends `payload` from `from` to `to`. The wire size is measured from
   /// the payload's canonical encoding (wire.h) — exact bytes, not an
-  /// estimate. Under Config::serialize_on_send the payload additionally
-  /// round-trips encode→decode before delivery; a frame broken by byte-
-  /// level fault injection becomes a counted drop.
+  /// estimate — so only wire messages can be sent. Under
+  /// Config::serialize_on_send the payload additionally round-trips
+  /// encode→decode before delivery; a frame broken by byte-level fault
+  /// injection becomes a counted drop.
   template <typename T>
+    requires wire::WireMessage<T>
   void Send(NodeId from, NodeId to, T payload) {
+    constexpr wire::MsgTag tag = wire::TypeInfoOf<T>().tag;
     size_t wire_bytes;
-    if constexpr (wire::WireMessage<T>) {
-      constexpr wire::MsgTag tag = wire::TypeInfoOf<T>().tag;
-      if (config_.serialize_on_send) {
-        std::string& bytes = encode_buffer_;
-        bytes.clear();
-        wire::EncodeFramed(payload, &bytes);
-        // Fault injection operates on the encoded form — the only place
-        // byte-level faults exist. Guarded draws keep the RNG stream
-        // identical to the fast path when both probabilities are zero.
-        if (config_.corrupt_probability > 0 &&
-            rng_.Bernoulli(config_.corrupt_probability)) {
-          size_t index = rng_.Uniform(bytes.size());
-          bytes[index] = static_cast<char>(
-              static_cast<uint8_t>(bytes[index]) ^
-              static_cast<uint8_t>(1 + rng_.Uniform(255)));
-        }
-        if (config_.truncate_probability > 0 &&
-            rng_.Bernoulli(config_.truncate_probability)) {
-          bytes.resize(rng_.Uniform(bytes.size()));
-        }
-        wire_bytes = bytes.size();
-        NoteSend(tag, wire_bytes);
-        T decoded;
-        Status status = wire::DecodeFramed(bytes, &decoded);
-        if (!status.ok()) {
-          NoteDecodeDrop();
-          return;
-        }
-        payload = std::move(decoded);
-      } else {
-        wire_bytes = wire::FramedSize(payload);
-        NoteSend(tag, wire_bytes);
+    if (config_.serialize_on_send) {
+      std::string& bytes = encode_buffer_;
+      bytes.clear();
+      wire::EncodeFramed(payload, &bytes);
+      // Fault injection operates on the encoded form — the only place
+      // byte-level faults exist. Guarded draws keep the RNG stream
+      // identical to the fast path when both probabilities are zero.
+      if (config_.corrupt_probability > 0 &&
+          rng_.Bernoulli(config_.corrupt_probability)) {
+        size_t index = rng_.Uniform(bytes.size());
+        bytes[index] = static_cast<char>(
+            static_cast<uint8_t>(bytes[index]) ^
+            static_cast<uint8_t>(1 + rng_.Uniform(255)));
       }
+      if (config_.truncate_probability > 0 &&
+          rng_.Bernoulli(config_.truncate_probability)) {
+        bytes.resize(rng_.Uniform(bytes.size()));
+      }
+      wire_bytes = bytes.size();
+      NoteSend(tag, wire_bytes);
+      T decoded;
+      Status status = wire::DecodeFramed(bytes, &decoded);
+      if (!status.ok()) {
+        NoteDecodeDrop();
+        return;
+      }
+      payload = std::move(decoded);
     } else {
-      // No codec: tolerated for ad-hoc test payloads, but such a value
-      // could never cross a real wire — serialize-on-send exists to
-      // catch exactly this, so it refuses loudly.
-      FUXI_CHECK(!config_.serialize_on_send)
-          << "serialize-on-send: payload type "
-          << Demangle(typeid(T).name()) << " has no wire codec";
-      wire_bytes = sizeof(T);
-      NoteSend(wire::MsgTag::kInvalid, wire_bytes);
+      wire_bytes = wire::FramedSize(payload);
+      NoteSend(tag, wire_bytes);
     }
     if (Blocked(from, to)) {
       NoteDrop();

@@ -4,6 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <tuple>
+
+#include "wire/wire.h"
 
 namespace fuxi::resource {
 
@@ -23,9 +26,15 @@ struct Stamped {
   bool is_full = false; ///< true: payload is absolute state, not a delta
   Delta payload{};
 };
-// Wire codecs for the concrete stamped protocol messages (StampedRequest,
-// StampedGrant) live with those aliases in protocol.h; the stamp fields
-// encode as [epoch u64][seq u64][is_full bool] ahead of the payload.
+
+/// Wire field list of every Stamped<Delta> (FUXI_WIRE_FIELDS, wire.h): the
+/// stamp, then the payload. The concrete messages (StampedRequest,
+/// StampedGrant) register their tags and versions in protocol.h.
+template <typename M>
+  requires wire::FieldsOf<M, Stamped<decltype(M::payload)>>
+constexpr auto WireFields(M& m) {
+  return std::tie(m.epoch, m.seq, m.is_full, m.payload);
+}
 
 /// Sender half: stamps outgoing deltas. Not thread-safe (one channel
 /// per directed peer pair).

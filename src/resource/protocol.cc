@@ -1,54 +1,11 @@
-// Wire codecs for the incremental resource protocol (request.h +
-// protocol.h structs). Field order is the struct declaration order; every
-// collection goes through Writer::Vec / Reader::Vec so sizes are exact and
-// decode is bounds-checked. Bump the version in the WireTypeInfo overloads
-// (protocol.h) when changing any layout here.
+// The one hand-written codec of the resource protocol: UnitRequestDelta's
+// `def` and `plan` follow their has_ flags only when set, which a plain
+// field list cannot say. Every other layout is a field list in request.h
+// and protocol.h.
 
 #include "resource/protocol.h"
 
 namespace fuxi::resource {
-
-void WireEncode(wire::Writer& w, const LocalityHint& m) {
-  w.U64(static_cast<uint64_t>(m.level));
-  w.Str(m.value);
-  w.I64(m.count);
-}
-
-Status WireDecode(wire::Reader& r, LocalityHint& m) {
-  FUXI_RETURN_IF_ERROR(r.Enum(&m.level, LocalityLevel::kCluster));
-  FUXI_RETURN_IF_ERROR(r.Str(&m.value));
-  return r.I64(&m.count);
-}
-
-void WireEncode(wire::Writer& w, const ScheduleUnitDef& m) {
-  w.U32(m.slot_id);
-  w.I32(m.priority);
-  WireEncode(w, m.resources);
-}
-
-Status WireDecode(wire::Reader& r, ScheduleUnitDef& m) {
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(r.I32(&m.priority));
-  return WireDecode(r, m.resources);
-}
-
-void WireEncode(wire::Writer& w, const PlanningHints& m) {
-  w.F64(m.estimated_seconds);
-  w.Bool(m.reservation);
-  w.F64(m.reserve_start);
-  w.F64(m.deadline);
-  w.U64(m.gang_id);
-  w.U32(m.gang_size);
-}
-
-Status WireDecode(wire::Reader& r, PlanningHints& m) {
-  FUXI_RETURN_IF_ERROR(r.F64(&m.estimated_seconds));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.reservation));
-  FUXI_RETURN_IF_ERROR(r.F64(&m.reserve_start));
-  FUXI_RETURN_IF_ERROR(r.F64(&m.deadline));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.gang_id));
-  return r.U32(&m.gang_size);
-}
 
 void WireEncode(wire::Writer& w, const UnitRequestDelta& m) {
   w.U32(m.slot_id);
@@ -75,130 +32,5 @@ Status WireDecode(wire::Reader& r, UnitRequestDelta& m) {
   m.plan = PlanningHints{};
   return Status::Ok();
 }
-
-void WireEncode(wire::Writer& w, const ResourceRequest& m) {
-  w.Id(m.app);
-  w.Vec(m.units);
-}
-
-Status WireDecode(wire::Reader& r, ResourceRequest& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  return r.Vec(&m.units);
-}
-
-void WireEncode(wire::Writer& w, const SlotAbsoluteState& m) {
-  WireEncode(w, m.def);
-  w.I64(m.total_count);
-  w.Vec(m.hints);
-  w.Vec(m.avoid);
-  WireEncode(w, m.plan);
-}
-
-Status WireDecode(wire::Reader& r, SlotAbsoluteState& m) {
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.def));
-  FUXI_RETURN_IF_ERROR(r.I64(&m.total_count));
-  FUXI_RETURN_IF_ERROR(r.Vec(&m.hints));
-  FUXI_RETURN_IF_ERROR(r.Vec(&m.avoid));
-  return WireDecode(r, m.plan);
-}
-
-void WireEncode(wire::Writer& w, const ReleaseDelta& m) {
-  w.U32(m.slot_id);
-  w.Id(m.machine);
-  w.I64(m.count);
-}
-
-Status WireDecode(wire::Reader& r, ReleaseDelta& m) {
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  return r.I64(&m.count);
-}
-
-void WireEncode(wire::Writer& w, const GrantAbsolute& m) {
-  w.U32(m.slot_id);
-  w.Id(m.machine);
-  w.I64(m.count);
-}
-
-Status WireDecode(wire::Reader& r, GrantAbsolute& m) {
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  return r.I64(&m.count);
-}
-
-void WireEncode(wire::Writer& w, const RequestMessage& m) {
-  WireEncode(w, m.delta);
-  w.Vec(m.releases);
-  w.Vec(m.full_slots);
-  w.Vec(m.held_grants);
-}
-
-Status WireDecode(wire::Reader& r, RequestMessage& m) {
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.delta));
-  FUXI_RETURN_IF_ERROR(r.Vec(&m.releases));
-  FUXI_RETURN_IF_ERROR(r.Vec(&m.full_slots));
-  return r.Vec(&m.held_grants);
-}
-
-void WireEncode(wire::Writer& w, const GrantDelta& m) {
-  w.U32(m.slot_id);
-  w.Id(m.machine);
-  w.I64(m.delta);
-  w.U64(static_cast<uint64_t>(m.reason));
-}
-
-Status WireDecode(wire::Reader& r, GrantDelta& m) {
-  FUXI_RETURN_IF_ERROR(r.U32(&m.slot_id));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.machine));
-  FUXI_RETURN_IF_ERROR(r.I64(&m.delta));
-  return r.Enum(&m.reason, RevocationReason::kReconcile);
-}
-
-void WireEncode(wire::Writer& w, const GrantMessage& m) {
-  w.Vec(m.deltas);
-  w.Vec(m.full_grants);
-}
-
-Status WireDecode(wire::Reader& r, GrantMessage& m) {
-  FUXI_RETURN_IF_ERROR(r.Vec(&m.deltas));
-  return r.Vec(&m.full_grants);
-}
-
-namespace {
-
-template <typename Delta>
-void EncodeStamped(wire::Writer& w, const Stamped<Delta>& m) {
-  w.U64(m.epoch);
-  w.U64(m.seq);
-  w.Bool(m.is_full);
-  WireEncode(w, m.payload);
-}
-
-template <typename Delta>
-Status DecodeStamped(wire::Reader& r, Stamped<Delta>& m) {
-  FUXI_RETURN_IF_ERROR(r.U64(&m.epoch));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.seq));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.is_full));
-  return WireDecode(r, m.payload);
-}
-
-}  // namespace
-
-void WireEncode(wire::Writer& w, const StampedRequest& m) {
-  EncodeStamped(w, m);
-}
-Status WireDecode(wire::Reader& r, StampedRequest& m) {
-  return DecodeStamped(r, m);
-}
-
-void WireEncode(wire::Writer& w, const StampedGrant& m) {
-  EncodeStamped(w, m);
-}
-Status WireDecode(wire::Reader& r, StampedGrant& m) {
-  return DecodeStamped(r, m);
-}
-
-void WireEncode(wire::Writer& w, const ResyncRequest& m) { w.Id(m.app); }
-Status WireDecode(wire::Reader& r, ResyncRequest& m) { return r.Id(&m.app); }
 
 }  // namespace fuxi::resource

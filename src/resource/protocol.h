@@ -72,43 +72,25 @@ struct ResyncRequest {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10). The stamped wrappers are the
-// protocol's unit of transmission, so they carry registry tags; exact
-// measured sizes replace the old ApproxWireSize estimates everywhere
-// (net::Network::Send, the incremental-vs-full ablation).
+// Wire layouts (fuxi::wire, DESIGN.md §10). The stamped wrappers are the
+// protocol's unit of transmission, so they carry registry tags; their
+// fields are Stamped's list (delta_channel.h).
 // ---------------------------------------------------------------------
 
-void WireEncode(wire::Writer& w, const SlotAbsoluteState& m);
-Status WireDecode(wire::Reader& r, SlotAbsoluteState& m);
-void WireEncode(wire::Writer& w, const ReleaseDelta& m);
-Status WireDecode(wire::Reader& r, ReleaseDelta& m);
-void WireEncode(wire::Writer& w, const GrantAbsolute& m);
-Status WireDecode(wire::Reader& r, GrantAbsolute& m);
-void WireEncode(wire::Writer& w, const RequestMessage& m);
-Status WireDecode(wire::Reader& r, RequestMessage& m);
-void WireEncode(wire::Writer& w, const GrantDelta& m);
-Status WireDecode(wire::Reader& r, GrantDelta& m);
-void WireEncode(wire::Writer& w, const GrantMessage& m);
-Status WireDecode(wire::Reader& r, GrantMessage& m);
+FUXI_WIRE_FIELDS(SlotAbsoluteState, m.def, m.total_count, m.hints, m.avoid,
+                 m.plan)
+FUXI_WIRE_FIELDS(ReleaseDelta, m.slot_id, m.machine, m.count)
+FUXI_WIRE_FIELDS(GrantAbsolute, m.slot_id, m.machine, m.count)
+FUXI_WIRE_FIELDS(RequestMessage, m.delta, m.releases, m.full_slots,
+                 m.held_grants)
+FUXI_WIRE_FIELDS(GrantDelta, m.slot_id, m.machine, m.delta, m.reason)
+FUXI_WIRE_FIELDS(GrantMessage, m.deltas, m.full_grants)
 
-void WireEncode(wire::Writer& w, const StampedRequest& m);
-Status WireDecode(wire::Reader& r, StampedRequest& m);
 // v2: UnitRequestDelta grew has_plan + PlanningHints and
 // SlotAbsoluteState grew a trailing PlanningHints (fuxi::planner).
-constexpr wire::TypeInfo WireTypeInfo(const StampedRequest*) {
-  return {wire::MsgTag::kStampedRequest, 2};
-}
-void WireEncode(wire::Writer& w, const StampedGrant& m);
-Status WireDecode(wire::Reader& r, StampedGrant& m);
-constexpr wire::TypeInfo WireTypeInfo(const StampedGrant*) {
-  return {wire::MsgTag::kStampedGrant, 1};
-}
-
-void WireEncode(wire::Writer& w, const ResyncRequest& m);
-Status WireDecode(wire::Reader& r, ResyncRequest& m);
-constexpr wire::TypeInfo WireTypeInfo(const ResyncRequest*) {
-  return {wire::MsgTag::kResyncRequest, 1};
-}
+FUXI_WIRE_MESSAGE(StampedRequest, 2)
+FUXI_WIRE_MESSAGE(StampedGrant, 1)
+FUXI_WIRE_MESSAGE(ResyncRequest, 1, m.app)
 
 }  // namespace fuxi::resource
 

@@ -18,6 +18,9 @@ using Priority = int32_t;
 
 /// The three levels of the locality tree (paper §3.2.2).
 enum class LocalityLevel { kMachine, kRack, kCluster };
+constexpr LocalityLevel WireEnumMax(LocalityLevel) {
+  return LocalityLevel::kCluster;
+}
 
 std::string_view LocalityLevelName(LocalityLevel level);
 
@@ -120,6 +123,9 @@ enum class RevocationReason {
   kCapacityShrink, ///< machine capacity was reduced
   kReconcile,      ///< master-side full-state reconciliation correction
 };
+constexpr RevocationReason WireEnumMax(RevocationReason) {
+  return RevocationReason::kReconcile;
+}
 
 std::string_view RevocationReasonName(RevocationReason reason);
 
@@ -155,19 +161,18 @@ struct SchedulingResult {
   }
 };
 
-// Wire codecs (fuxi::wire, DESIGN.md §10). These are nested-struct codecs
-// — the framed top-level messages embedding them live in protocol.h and
-// master/messages.h. Definitions in protocol.cc.
-void WireEncode(wire::Writer& w, const LocalityHint& m);
-Status WireDecode(wire::Reader& r, LocalityHint& m);
-void WireEncode(wire::Writer& w, const ScheduleUnitDef& m);
-Status WireDecode(wire::Reader& r, ScheduleUnitDef& m);
-void WireEncode(wire::Writer& w, const PlanningHints& m);
-Status WireDecode(wire::Reader& r, PlanningHints& m);
+// Wire layouts (fuxi::wire, DESIGN.md §10) of the nested structs; the
+// framed top-level messages embedding them live in protocol.h and
+// master/messages.h.
+FUXI_WIRE_FIELDS(LocalityHint, m.level, m.value, m.count)
+FUXI_WIRE_FIELDS(ScheduleUnitDef, m.slot_id, m.priority, m.resources)
+FUXI_WIRE_FIELDS(PlanningHints, m.estimated_seconds, m.reservation,
+                 m.reserve_start, m.deadline, m.gang_id, m.gang_size)
+// `def` and `plan` are present only when their has_ flag is set, so this
+// codec is written by hand (protocol.cc).
 void WireEncode(wire::Writer& w, const UnitRequestDelta& m);
 Status WireDecode(wire::Reader& r, UnitRequestDelta& m);
-void WireEncode(wire::Writer& w, const ResourceRequest& m);
-Status WireDecode(wire::Reader& r, ResourceRequest& m);
+FUXI_WIRE_FIELDS(ResourceRequest, m.app, m.units)
 
 }  // namespace fuxi::resource
 

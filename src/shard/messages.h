@@ -74,36 +74,19 @@ struct RouteReplyRpc {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10).
+// Wire layouts (fuxi::wire, DESIGN.md §10).
 // ---------------------------------------------------------------------
 
-#define FUXI_SHARD_DECLARE_WIRE(TYPE)                  \
-  void WireEncode(wire::Writer& w, const TYPE& m);     \
-  Status WireDecode(wire::Reader& r, TYPE& m);         \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) { \
-    return {wire::MsgTag::k##TYPE, 1};                 \
-  }
-/// A migrating message: current layout VERSION, frames back to
-/// MIN_VERSION still decode (the codec branches on r.msg_version()).
-#define FUXI_SHARD_DECLARE_WIRE_RANGE(TYPE, VERSION, MIN_VERSION) \
-  void WireEncode(wire::Writer& w, const TYPE& m);                \
-  Status WireDecode(wire::Reader& r, TYPE& m);                    \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) {            \
-    return {wire::MsgTag::k##TYPE, VERSION, MIN_VERSION};         \
-  }
-
-FUXI_SHARD_DECLARE_WIRE(ShardLookupRpc)
-FUXI_SHARD_DECLARE_WIRE(ShardDirectoryReplyRpc)
-// v2: quota_group became tenant_path + weight (v1 frames still decode).
-FUXI_SHARD_DECLARE_WIRE_RANGE(RouteSubmitRpc, 2, 1)
-FUXI_SHARD_DECLARE_WIRE(RouteReplyRpc)
-
-#undef FUXI_SHARD_DECLARE_WIRE
-#undef FUXI_SHARD_DECLARE_WIRE_RANGE
-
-// ShardEntry is nested (unframed).
-void WireEncode(wire::Writer& w, const ShardEntry& m);
-Status WireDecode(wire::Reader& r, ShardEntry& m);
+FUXI_WIRE_FIELDS(ShardEntry, m.shard, m.primary, m.generation,
+                 m.machines_online, m.total, m.granted, m.updated_at)
+FUXI_WIRE_MESSAGE(ShardLookupRpc, 1, m.reply_to, m.request_id)
+FUXI_WIRE_MESSAGE(ShardDirectoryReplyRpc, 1, m.request_id, m.entries)
+// v2: quota_group became tenant_path + weight. v1 frames still decode, so
+// the codec is written by hand (messages_wire.cc).
+FUXI_WIRE_MESSAGE(RouteSubmitRpc, wire::Versions(2, 1))
+void WireEncode(wire::Writer& w, const RouteSubmitRpc& m);
+Status WireDecode(wire::Reader& r, RouteSubmitRpc& m);
+FUXI_WIRE_MESSAGE(RouteReplyRpc, 1, m.app, m.shard, m.accepted, m.error)
 
 }  // namespace fuxi::shard
 

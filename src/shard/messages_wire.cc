@@ -1,46 +1,10 @@
+// The one hand-written codec of shard federation: RouteSubmitRpc still
+// decodes v1 frames, which end after the client id. Every other layout
+// is a field list in messages.h.
+
 #include "shard/messages.h"
 
 namespace fuxi::shard {
-
-void WireEncode(wire::Writer& w, const ShardEntry& m) {
-  w.I32(m.shard);
-  w.Id(m.primary);
-  w.U64(m.generation);
-  w.I64(m.machines_online);
-  WireEncode(w, m.total);
-  WireEncode(w, m.granted);
-  w.F64(m.updated_at);
-}
-
-Status WireDecode(wire::Reader& r, ShardEntry& m) {
-  FUXI_RETURN_IF_ERROR(r.I32(&m.shard));
-  FUXI_RETURN_IF_ERROR(r.Id(&m.primary));
-  FUXI_RETURN_IF_ERROR(r.U64(&m.generation));
-  FUXI_RETURN_IF_ERROR(r.I64(&m.machines_online));
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.total));
-  FUXI_RETURN_IF_ERROR(WireDecode(r, m.granted));
-  return r.F64(&m.updated_at);
-}
-
-void WireEncode(wire::Writer& w, const ShardLookupRpc& m) {
-  w.Id(m.reply_to);
-  w.U64(m.request_id);
-}
-
-Status WireDecode(wire::Reader& r, ShardLookupRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.reply_to));
-  return r.U64(&m.request_id);
-}
-
-void WireEncode(wire::Writer& w, const ShardDirectoryReplyRpc& m) {
-  w.U64(m.request_id);
-  w.Vec(m.entries);
-}
-
-Status WireDecode(wire::Reader& r, ShardDirectoryReplyRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.U64(&m.request_id));
-  return r.Vec(&m.entries);
-}
 
 void WireEncode(wire::Writer& w, const RouteSubmitRpc& m) {
   w.Id(m.app);
@@ -59,20 +23,6 @@ Status WireDecode(wire::Reader& r, RouteSubmitRpc& m) {
   // group name is a root-level tenant path, weight stays 1.0).
   if (r.msg_version() == 1) return Status::Ok();
   return r.F64(&m.weight);
-}
-
-void WireEncode(wire::Writer& w, const RouteReplyRpc& m) {
-  w.Id(m.app);
-  w.I32(m.shard);
-  w.Bool(m.accepted);
-  w.Str(m.error);
-}
-
-Status WireDecode(wire::Reader& r, RouteReplyRpc& m) {
-  FUXI_RETURN_IF_ERROR(r.Id(&m.app));
-  FUXI_RETURN_IF_ERROR(r.I32(&m.shard));
-  FUXI_RETURN_IF_ERROR(r.Bool(&m.accepted));
-  return r.Str(&m.error);
 }
 
 }  // namespace fuxi::shard

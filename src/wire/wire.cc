@@ -80,6 +80,20 @@ std::string_view MsgTagName(MsgTag tag) {
       return "test.Ping";
     case MsgTag::kTestPong:
       return "test.Pong";
+    case MsgTag::kTestPingRpc:
+      return "test.PingRpc";
+    case MsgTag::kTestRelayRpc:
+      return "test.RelayRpc";
+    case MsgTag::kTestStrayRpc:
+      return "test.StrayRpc";
+    case MsgTag::kTestText:
+      return "test.Text";
+    case MsgTag::kTestLate3:
+      return "test.Late3";
+    case MsgTag::kTestLate31:
+      return "test.Late31";
+    case MsgTag::kTestSlotProbe:
+      return "test.SlotProbe";
   }
   return "wire.unknown";
 }
@@ -92,7 +106,7 @@ Status DecodeJson(Reader& r, Json& json, int depth) {
   if (depth > kMaxJsonDepth) {
     return Status::Corruption("wire: json nesting too deep");
   }
-  uint8_t type;
+  uint8_t type = 0;
   FUXI_RETURN_IF_ERROR(r.Byte(&type));
   switch (static_cast<Json::Type>(type)) {
     case Json::Type::kNull:

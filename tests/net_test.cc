@@ -23,31 +23,17 @@ struct Ping {
 struct Pong {
   int value;
 };
+/// A string payload (net_test's stand-in for an opaque message).
+struct TestText {
+  std::string value;
+};
 
-// Test-local wire codecs under the reserved test tags: Ping/Pong are
-// full wire messages, so sizes are measured and serialize-on-send works;
-// std::string payloads below deliberately have no codec.
-void WireEncode(wire::Writer& w, const Ping& m) { w.I64(m.value); }
-Status WireDecode(wire::Reader& r, Ping& m) {
-  int64_t v;
-  FUXI_RETURN_IF_ERROR(r.I64(&v));
-  m.value = static_cast<int>(v);
-  return Status::Ok();
-}
-constexpr wire::TypeInfo WireTypeInfo(const Ping*) {
-  return {wire::MsgTag::kTestPing, 1};
-}
-
-void WireEncode(wire::Writer& w, const Pong& m) { w.I64(m.value); }
-Status WireDecode(wire::Reader& r, Pong& m) {
-  int64_t v;
-  FUXI_RETURN_IF_ERROR(r.I64(&v));
-  m.value = static_cast<int>(v);
-  return Status::Ok();
-}
-constexpr wire::TypeInfo WireTypeInfo(const Pong*) {
-  return {wire::MsgTag::kTestPong, 1};
-}
+// Test-local wire messages under the reserved test tags.
+using TestPing = Ping;
+using TestPong = Pong;
+FUXI_WIRE_MESSAGE(TestPing, 1, m.value)
+FUXI_WIRE_MESSAGE(TestPong, 1, m.value)
+FUXI_WIRE_MESSAGE(TestText, 1, m.value)
 
 class NetworkTest : public ::testing::Test {
  protected:
@@ -86,7 +72,7 @@ TEST_F(NetworkTest, DispatchesByPayloadType) {
 }
 
 TEST_F(NetworkTest, UnhandledTypeCounted) {
-  network_.Send(NodeId(1), NodeId(2), std::string("mystery"));
+  network_.Send(NodeId(1), NodeId(2), TestText{"mystery"});
   sim_.RunToCompletion();
   EXPECT_EQ(b_.unhandled(), 1u);
 }
@@ -266,10 +252,10 @@ TEST_F(NetworkTest, MovedPayloadStillDuplicatesCorrectly) {
   // duplicate must still carry its own intact copy.
   network_.mutable_config()->duplicate_probability = 1.0;
   std::vector<std::string> received;
-  b_.Handle<std::string>([&](const Envelope&, const std::string& s) {
-    received.push_back(s);
+  b_.Handle<TestText>([&](const Envelope&, const TestText& text) {
+    received.push_back(text.value);
   });
-  network_.Send(NodeId(1), NodeId(2), std::string("payload-content"));
+  network_.Send(NodeId(1), NodeId(2), TestText{"payload-content"});
   sim_.RunToCompletion();
   ASSERT_EQ(received.size(), 2u);
   EXPECT_EQ(received[0], "payload-content");
@@ -297,9 +283,6 @@ TEST_F(NetworkTest, BytesAccountingIsMeasuredNotEstimated) {
   EXPECT_EQ(delivered_bytes, expected);
   // Varint encoding: the big value really costs more bytes.
   EXPECT_GT(wire::FramedSize(Ping{1000000}), wire::FramedSize(Ping{1}));
-  // Payloads without a codec fall back to sizeof — still counted.
-  network_.Send(NodeId(1), NodeId(2), std::string("x"));
-  EXPECT_EQ(network_.stats().bytes_sent, expected + sizeof(std::string));
 }
 
 TEST_F(NetworkTest, SerializeOnSendIsAnIdentityForEncodablePayloads) {
@@ -314,12 +297,6 @@ TEST_F(NetworkTest, SerializeOnSendIsAnIdentityForEncodablePayloads) {
   EXPECT_EQ(received, -12345);
   EXPECT_EQ(network_.stats().messages_delivered, 1u);
   EXPECT_EQ(network_.stats().decode_drops, 0u);
-}
-
-TEST_F(NetworkTest, SerializeOnSendRefusesPayloadsWithoutCodec) {
-  network_.mutable_config()->serialize_on_send = true;
-  EXPECT_DEATH(network_.Send(NodeId(1), NodeId(2), std::string("smuggled")),
-               "no wire codec");
 }
 
 TEST_F(NetworkTest, CorruptedFramesSurfaceAsCountedDropsNeverCrashes) {
@@ -385,6 +362,10 @@ template <int N>
 struct LateType {
   int value = N;
 };
+using TestLate3 = LateType<3>;
+using TestLate31 = LateType<31>;
+FUXI_WIRE_MESSAGE(TestLate3, 1, m.value)
+FUXI_WIRE_MESSAGE(TestLate31, 1, m.value)
 
 TEST_F(NetworkTest, HandlerMayRegisterHandlersWhileItRuns) {
   // Registering types from inside a handler grows the endpoint's handler
@@ -413,19 +394,19 @@ TEST_F(NetworkTest, UnhandledPayloadsCountedByDemangledTypeName) {
   obs::MetricsRegistry metrics;
   network_.SetObservability(nullptr, &metrics);
   b_.Handle<Ping>([](const Envelope&, const Ping&) {});
-  network_.Send(NodeId(1), NodeId(2), std::string("a"));
+  network_.Send(NodeId(1), NodeId(2), TestText{"a"});
   network_.Send(NodeId(1), NodeId(2), Pong{1});
-  network_.Send(NodeId(1), NodeId(2), std::string("b"));
+  network_.Send(NodeId(1), NodeId(2), TestText{"b"});
   network_.Send(NodeId(1), NodeId(2), Ping{1});
   sim_.RunToCompletion();
 
   EXPECT_EQ(b_.unhandled(), 3u);
-  const std::string string_name = Demangle(typeid(std::string).name());
+  const std::string text_name = Demangle(typeid(TestText).name());
   const std::string pong_name = Demangle(typeid(Pong).name());
   std::map<std::string, uint64_t> by_type = b_.UnhandledByType();
-  EXPECT_EQ(by_type, (std::map<std::string, uint64_t>{{string_name, 2},
+  EXPECT_EQ(by_type, (std::map<std::string, uint64_t>{{text_name, 2},
                                                       {pong_name, 1}}));
-  EXPECT_EQ(metrics.GetCounter("net.unhandled." + string_name)->value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("net.unhandled." + text_name)->value(), 2u);
   EXPECT_EQ(metrics.GetCounter("net.unhandled." + pong_name)->value(), 1u);
 }
 

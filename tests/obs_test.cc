@@ -211,7 +211,15 @@ struct PingRpc {
 struct RelayRpc {
   int value = 0;
 };
-struct StrayRpc {};
+struct StrayRpc {
+  int value = 0;
+};
+using TestPingRpc = PingRpc;
+using TestRelayRpc = RelayRpc;
+using TestStrayRpc = StrayRpc;
+FUXI_WIRE_MESSAGE(TestPingRpc, 1, m.value)
+FUXI_WIRE_MESSAGE(TestRelayRpc, 1, m.value)
+FUXI_WIRE_MESSAGE(TestStrayRpc, 1, m.value)
 
 class NetworkTraceTest : public ::testing::Test {
  protected:

@@ -146,6 +146,21 @@ TEST_F(ResourceClientTest, DeltasNotFullStatesCarryTheTraffic) {
       << "only the initial sync (and at most one periodic) should be full";
 }
 
+TEST_F(ResourceClientTest, DestroyedClientLeavesNoTimerBehind) {
+  // An application master crash frees its client while the simulator
+  // runs on. The destructor alone (no Stop()) must cancel the periodic
+  // sync and retry timers: one that fired would read the freed client,
+  // which the ASan/UBSan build reports as a heap-use-after-free.
+  auto client = MakeClient();
+  client->Start(&endpoint_);
+  client->DefineUnit(Unit());
+  client->SetDesired(0, 2);
+  cluster_->RunFor(0.5);
+  client.reset();
+  cluster_->network().Unregister(node_);
+  cluster_->RunFor(3 * ResourceClientOptions().full_sync_interval);
+}
+
 TEST_F(ResourceClientTest, RecoveryRestoresGrantViewFromMaster) {
   auto client = MakeClient(1);
   client->Start(&endpoint_);

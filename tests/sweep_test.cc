@@ -368,6 +368,20 @@ template <int N>
 struct SlotProbe {
   int value = N + 1;
 };
+// The whole probe family shares one test tag: a frame only needs a tag,
+// the dispatch slot comes from the C++ type.
+template <int N>
+constexpr wire::TypeInfo WireTypeInfo(const SlotProbe<N>*) {
+  return {wire::MsgTag::kTestSlotProbe, 1};
+}
+template <int N>
+void WireEncode(wire::Writer& w, const SlotProbe<N>& m) {
+  w.I32(m.value);
+}
+template <int N>
+Status WireDecode(wire::Reader& r, SlotProbe<N>& m) {
+  return r.I32(&m.value);
+}
 
 TEST(ConcurrentClusters, PayloadTypeSlotsRegisterRaceFree) {
   // A payload type takes its dispatch slot on first use, process-wide.
