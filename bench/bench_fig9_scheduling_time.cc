@@ -126,7 +126,10 @@ PointResult RunPoint(const bench::BenchScale& scale, bool print_series) {
     std::printf("jobs completed during the window: %lld\n",
                 static_cast<long long>(driver.jobs_completed()));
     std::printf("\ntime(s)  mean scheduling time per window (ms)\n");
-    for (const TimeSeries::Point& p : series.Downsample(30).points()) {
+    // Bound to a local: a range-for over `Downsample(30).points()` would
+    // read a reference into a temporary destroyed before the loop body.
+    const TimeSeries downsampled = series.Downsample(30);
+    for (const TimeSeries::Point& p : downsampled.points()) {
       std::printf("%7.0f  %.4f\n", p.time, p.value);
     }
     std::printf("\nper-request scheduling time (ms): %s\n",

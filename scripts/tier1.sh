@@ -69,6 +69,14 @@ echo "== tier-1: hierarchical fair-share gates + multi-tenant chaos =="
 ./build/bench/bench_chaos_campaign --tenants 6 --seeds 10 --jobs 4
 ./build/bench/bench_chaos_campaign --tenants 6 --tenant-depth 1 --seeds 10 --jobs 4
 
+echo "== tier-1: campaign verdicts vs checked-in golden =="
+# The sweeps above diff stdout only within one build. This pins the
+# verdicts across commits: every seed's PASS/FAIL line, hashes, replay
+# digests and heavy-check counts, plus the seed-8 restore-bug violation
+# text and time (see scripts/chaos_campaign_golden.sh).
+scripts/chaos_campaign_golden.sh build/bench/bench_chaos_campaign 2>/dev/null |
+  diff -u bench/baselines/chaos_campaign_stdout.txt -
+
 if [[ "$skip_asan" == 1 ]]; then
   echo "== tier-1: ASan/UBSan pass skipped =="
 else

@@ -186,6 +186,9 @@ class FairShareTree {
       const std::map<AppId, cluster::ResourceVector>& app_waiting) const;
 
  private:
+  /// The audit-equivalence test's window into the books.
+  friend struct SchedulerAuditPeer;
+
   Node* MutableNodeOf(AppId app);
   /// Creates the node at `path` (and any missing ancestors) as
   /// unbounded structural nodes; returns it. Fails on malformed paths.

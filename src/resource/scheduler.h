@@ -417,6 +417,9 @@ class Scheduler {
   SchedulingResult* planner_result_ = nullptr;
   /// Retained so a lazily-built planner can wire its instruments.
   obs::MetricsRegistry* metrics_registry_ = nullptr;
+
+  /// The audit-equivalence test's window into the indexes.
+  friend struct SchedulerAuditPeer;
 };
 
 }  // namespace fuxi::resource
