@@ -74,7 +74,7 @@ echo "== tier-1: campaign verdicts vs checked-in golden =="
 # verdicts across commits: every seed's PASS/FAIL line, hashes, replay
 # digests and heavy-check counts, plus the seed-8 restore-bug violation
 # text and time (see scripts/chaos_campaign_golden.sh).
-scripts/chaos_campaign_golden.sh build/bench/bench_chaos_campaign 2>/dev/null |
+scripts/chaos_campaign_golden.sh build/bench/bench_chaos_campaign |
   diff -u bench/baselines/chaos_campaign_stdout.txt -
 
 if [[ "$skip_asan" == 1 ]]; then

@@ -32,6 +32,7 @@ InvariantMonitor::InvariantMonitor(runtime::SimCluster* cluster,
         cluster->shard_of_machine(machine.id))];
   }
   shard_masters_.resize(shards);
+  sweep_primaries_.assign(shards, nullptr);
   shard_lock_entries_.assign(shards, nullptr);
   for (size_t k = 0; k < shards; ++k) {
     const std::string& lock = cluster->shard_lock(static_cast<int>(k));
@@ -115,7 +116,9 @@ void InvariantMonitor::Sustained(const ConditionKey& key, bool bad,
                                  double grace, double now,
                                  const DetailFn& detail) {
   if (!bad) {
-    pending_.erase(key);
+    // Healthy checks far outnumber tracked conditions: with none pending
+    // there is nothing to clear and no map to search.
+    if (!pending_.empty()) pending_.erase(key);
     return;
   }
   auto [it, inserted] = pending_.try_emplace(key, PendingCondition{now, false});
@@ -211,8 +214,7 @@ void InvariantMonitor::HeavyChecks(double now) {
   // keys below are byte-identical to the pre-federation monitor — the
   // golden replay digests pin this.
   int shards = cluster_->shard_count();
-  std::vector<master::FuxiMaster*> primaries(
-      static_cast<size_t>(shards), nullptr);
+  std::vector<master::FuxiMaster*>& primaries = sweep_primaries_;
   for (int k = 0; k < shards; ++k) {
     NodeId holder = ShardLockHolder(k);
     master::FuxiMaster* primary = nullptr;
@@ -391,6 +393,7 @@ void InvariantMonitor::CheckOrphans(double now, MachineId machine,
   }
   // Drop the trackers of apps that have no strays here any more: the
   // machine's (kOrphanProcesses, machine, *) run of `pending_`.
+  if (pending_.empty()) return;
   auto it = pending_.lower_bound(
       ConditionKey{ConditionKind::kOrphanProcesses, machine.value(),
                    std::numeric_limits<int64_t>::min()});

@@ -196,6 +196,9 @@ class InvariantMonitor {
   std::vector<std::vector<master::FuxiMaster*>> shard_masters_;
   /// Each shard's lock entry; null until the lock is first taken.
   std::vector<const coord::LockService::Lock*> shard_lock_entries_;
+  /// Each shard's elected primary (or null) as of the current heavy
+  /// sweep; every slot is rewritten at the start of a sweep.
+  std::vector<master::FuxiMaster*> sweep_primaries_;
   uint64_t checks_ = 0;
   uint64_t hash_ = 1469598103934665603ull;  // FNV-1a offset basis
   std::map<ConditionKey, PendingCondition> pending_;

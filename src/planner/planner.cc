@@ -767,20 +767,25 @@ void ClusterPlanner::ExpireDemand(const PlanKey& key,
 // --- invariants ---------------------------------------------------------
 
 bool ClusterPlanner::CheckNoOvercommit() const {
-  for (size_t m = 0; m < timelines_.size(); ++m) {
-    const Timeline& tl = timelines_[m];
-    MachineView view = hooks_.machine(static_cast<int64_t>(m));
-    if (!view.online) {
-      if (tl.claim_count() != 0) return false;
-      continue;
-    }
-    cluster::ResourceVector budget = view.free + tl.RunningLoadAt(now_);
-    if (!tl.CheckNoOvercommit(budget, now_)) return false;
-  }
+  // Rack by rack: each member machine's budget is computed once, checked
+  // against its own timeline and summed into the rack's budget. Every
+  // machine sits in exactly one rack, so every timeline is checked.
   for (size_t r = 0; r < rack_timelines_.size(); ++r) {
-    cluster::ResourceVector budget;
-    for (int64_t m : rack_members_[r]) budget += BudgetOf(m);
-    if (!rack_timelines_[r].CheckNoOvercommit(budget, now_)) return false;
+    cluster::ResourceVector rack_budget;
+    for (int64_t m : rack_members_[r]) {
+      const Timeline& tl = timelines_[static_cast<size_t>(m)];
+      MachineView view = hooks_.machine(m);
+      if (!view.online) {
+        if (tl.claim_count() != 0) return false;
+        continue;
+      }
+      cluster::ResourceVector budget = view.free + tl.RunningLoadAt(now_);
+      if (!tl.CheckNoOvercommit(budget, now_)) return false;
+      rack_budget += budget;
+    }
+    if (!rack_timelines_[r].CheckNoOvercommit(rack_budget, now_)) {
+      return false;
+    }
   }
   return true;
 }

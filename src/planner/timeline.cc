@@ -138,13 +138,20 @@ std::vector<double> Timeline::PointsAfter(double t, size_t cap) const {
 
 bool Timeline::CheckNoOvercommit(const cluster::ResourceVector& budget,
                                  double from) const {
-  std::set<double> points{from};
+  // The load is evaluated at `from` and at every claim boundary after
+  // it, straight off the claims: a boundary that several claims share is
+  // evaluated once per claim, which changes no verdict and needs no
+  // de-duplicating point set.
+  auto overcommitted_at = [&](double p) {
+    return (budget - LoadAt(p)).AnyNegative();
+  };
+  if (overcommitted_at(from)) return false;
   for (const auto& [id, claim] : claims_) {
-    if (claim.start > from) points.insert(claim.start);
-    if (claim.end != kForever && claim.end > from) points.insert(claim.end);
-  }
-  for (double p : points) {
-    if ((budget - LoadAt(p)).AnyNegative()) return false;
+    if (claim.start > from && overcommitted_at(claim.start)) return false;
+    if (claim.end != kForever && claim.end > from &&
+        overcommitted_at(claim.end)) {
+      return false;
+    }
   }
   return true;
 }

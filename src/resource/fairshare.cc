@@ -340,33 +340,34 @@ FairShareTree::HeadroomClamp FairShareTree::ExplainHeadroom(
 }
 
 bool FairShareTree::CheckConservation(
-    const std::map<AppId, cluster::ResourceVector>& app_usage,
-    const std::map<AppId, cluster::ResourceVector>& app_waiting) const {
-  std::map<const Node*, std::pair<cluster::ResourceVector,
-                                  cluster::ResourceVector>>
-      expected;
-  expected[&root_];  // the root aggregates everything
-  for (const auto& [path, node] : nodes_) expected[node.get()];
-  for (const auto& [app, node] : app_node_) {
-    cluster::ResourceVector usage;
-    cluster::ResourceVector waiting;
-    if (auto it = app_usage.find(app); it != app_usage.end()) {
-      usage = it->second;
+    std::span<const AppAmount> app_usage,
+    std::span<const AppAmount> app_waiting) const {
+  root_.audit_usage = root_.audit_waiting = cluster::ResourceVector();
+  for (const auto& [path, node] : nodes_) {
+    node->audit_usage = node->audit_waiting = cluster::ResourceVector();
+  }
+  // Each tally is charged to its app's node and every ancestor: the
+  // root aggregates everything.
+  for (const AppAmount& entry : app_usage) {
+    for (const Node* n = NodeOf(entry.app); n != nullptr; n = n->parent) {
+      n->audit_usage += entry.amount;
     }
-    if (auto it = app_waiting.find(app); it != app_waiting.end()) {
-      waiting = it->second;
-    }
-    for (const Node* n = node; n != nullptr; n = n->parent) {
-      expected[n].first += usage;
-      expected[n].second += waiting;
+  }
+  for (const AppAmount& entry : app_waiting) {
+    for (const Node* n = NodeOf(entry.app); n != nullptr; n = n->parent) {
+      n->audit_waiting += entry.amount;
     }
   }
   size_t deficits = 0;
-  for (const auto& [node, books] : expected) {
-    if (!(node->usage == books.first)) return false;
-    if (!(node->waiting == books.second)) return false;
-    if (node->in_deficit != HasDeficit(*node)) return false;
-    if (node->in_deficit) ++deficits;
+  auto balanced = [&](const Node& node) {
+    if (node.in_deficit) ++deficits;
+    return node.usage == node.audit_usage &&
+           node.waiting == node.audit_waiting &&
+           node.in_deficit == HasDeficit(node);
+  };
+  if (!balanced(root_)) return false;
+  for (const auto& [path, node] : nodes_) {
+    if (!balanced(*node)) return false;
   }
   return deficits == deficit_count_;
 }

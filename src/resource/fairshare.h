@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +61,16 @@ class FairShareTree {
     /// Per-sweep preemption charge (see BeginPreemptionSweep).
     mutable uint64_t sweep_id = 0;
     mutable int64_t sweep_charge = 0;
+    /// CheckConservation's recomputed subtree sums, kept on the node so
+    /// an audit allocates nothing.
+    mutable cluster::ResourceVector audit_usage;
+    mutable cluster::ResourceVector audit_waiting;
+  };
+
+  /// One application's share of a per-app tally (CheckConservation).
+  struct AppAmount {
+    AppId app;
+    cluster::ResourceVector amount;
   };
 
   struct NodeConfig {
@@ -180,10 +191,11 @@ class FairShareTree {
 
   /// Per-node conservation: every node's stored usage/waiting equals
   /// the sum of the per-app tallies over its subtree (apps without a
-  /// node are ignored), and the cached deficit flags match a recompute.
-  bool CheckConservation(
-      const std::map<AppId, cluster::ResourceVector>& app_usage,
-      const std::map<AppId, cluster::ResourceVector>& app_waiting) const;
+  /// node are ignored, an app absent from a tally counts as zero), and
+  /// the cached deficit flags match a recompute. Each tally names an
+  /// app at most once.
+  bool CheckConservation(std::span<const AppAmount> app_usage,
+                         std::span<const AppAmount> app_waiting) const;
 
  private:
   /// The audit-equivalence test's window into the books.

@@ -267,13 +267,6 @@ int64_t LocalityTree::TotalWaitingUnits() const {
   return total;
 }
 
-std::vector<const PendingDemand*> LocalityTree::AllDemands() const {
-  std::vector<const PendingDemand*> out;
-  out.reserve(by_key_.size());
-  for (const auto& [key, demand] : by_key_) out.push_back(demand);
-  return out;
-}
-
 LocalityTree::DemandRange LocalityTree::DemandsOf(AppId app) const {
   auto first = by_key_.lower_bound(SlotKey{app, 0});
   auto last = first;

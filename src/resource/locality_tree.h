@@ -176,11 +176,12 @@ class LocalityTree {
   /// Sum over demands of total_remaining (unit counts, not resources).
   int64_t TotalWaitingUnits() const;
 
-  /// Every demand, in key order (deterministic). Drained demands
+  /// Every demand, in key order (deterministic): a view of the key
+  /// index, so walking it allocates nothing. Drained demands
   /// (total_remaining == 0) are included: they keep their preference
   /// counts and avoid list until removed, so callers that only want
   /// waiting demands filter on total_remaining themselves.
-  std::vector<const PendingDemand*> AllDemands() const;
+  auto AllDemands() const { return std::views::values(by_key_); }
 
   /// The demands of one application, drained ones included, in slot
   /// order: the `lower_bound(SlotKey{app, 0})` range of the key index,

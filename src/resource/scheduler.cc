@@ -1130,8 +1130,28 @@ int64_t Scheduler::GrantCount(AppId app, uint32_t slot_id,
 
 bool Scheduler::CheckInvariants() const {
   if (!tree_.CheckInvariants()) return false;
+  // Every index is checked against the machine table in place, with no
+  // from-scratch copy. The machine loop walks free_machines_ in step
+  // (both ascend by machine id) and must reach its end: the index lists
+  // exactly the machines with a non-empty free pool.
+  auto known = [this](MachineId id) {
+    return id.value() >= 0 &&
+           static_cast<size_t>(id.value()) < machines_.size();
+  };
+  auto has_free = [](const MachineState& state) {
+    return state.online && !state.free.IsZero();
+  };
+  // Both tallies are filled in app order, one entry per app.
+  auto tally = [](std::vector<FairShareTree::AppAmount>& out, AppId app,
+                  const cluster::ResourceVector& amount) {
+    if (out.empty() || out.back().app != app) {
+      out.push_back({app, cluster::ResourceVector()});
+    }
+    out.back().amount += amount;
+  };
   cluster::ResourceVector granted_total;
-  std::map<SlotKey, std::set<MachineId>> sites;
+  size_t grant_pairs = 0;
+  auto free_it = free_machines_.begin();
   for (size_t m = 0; m < machines_.size(); ++m) {
     const MachineState& state = machines_[m];
     MachineId id(static_cast<int64_t>(m));
@@ -1141,12 +1161,11 @@ bool Scheduler::CheckInvariants() const {
       const PendingDemand* demand = tree_.Find(key);
       if (demand == nullptr) return false;
       granted += demand->def.resources * count;
-      sites[key].insert(id);
     }
-    bool has_free = state.online && !state.free.IsZero();
-    if ((free_machines_.count(id) > 0) != has_free) return false;
-    size_t rack = static_cast<size_t>(topology_->machine(id).rack.value());
-    if ((rack_free_[rack].count(id) > 0) != has_free) return false;
+    grant_pairs += state.grants.size();
+    bool listed = free_it != free_machines_.end() && *free_it == id;
+    if (listed) ++free_it;
+    if (listed != has_free(state)) return false;
     if (state.online) {
       if (!(granted + state.free == state.capacity)) return false;
       if (state.free.AnyNegative()) return false;
@@ -1155,36 +1174,54 @@ bool Scheduler::CheckInvariants() const {
     }
     granted_total += granted;
   }
-  // The incremental indexes must agree with the from-scratch recompute.
-  if (sites != grant_sites_) return false;
+  if (free_it != free_machines_.end()) return false;
   if (!(granted_total == total_granted_)) return false;
+  // Each rack set may list only free machines of its own rack; with the
+  // sizes summing to free_machines_'s, every free machine is listed in
+  // its rack.
   size_t rack_free_total = 0;
-  for (const std::set<MachineId>& rack_set : rack_free_) {
-    rack_free_total += rack_set.size();
+  for (size_t r = 0; r < rack_free_.size(); ++r) {
+    for (MachineId id : rack_free_[r]) {
+      if (!known(id)) return false;
+      if (!has_free(machines_[static_cast<size_t>(id.value())])) return false;
+      if (static_cast<size_t>(topology_->machine(id).rack.value()) != r) {
+        return false;
+      }
+    }
+    rack_free_total += rack_free_[r].size();
   }
   if (rack_free_total != free_machines_.size()) return false;
-  // Per-node fair-share conservation: every tenant node's stored
-  // usage/waiting must equal the per-app tallies rolled up its subtree.
-  std::map<AppId, cluster::ResourceVector> app_usage;
-  for (const auto& [key, machines] : grant_sites_) {
+  // grant_sites_ must list exactly the machine grants: every site pair
+  // names a grant and the pair counts match. The walk is (app, slot)
+  // ordered, so it also sums each app's usage for the fair-share books.
+  size_t site_pairs = 0;
+  audit_usage_.clear();
+  for (const auto& [key, sites] : grant_sites_) {
+    if (sites.empty()) return false;
     const PendingDemand* demand = tree_.Find(key);
     if (demand == nullptr) return false;
-    for (MachineId machine : machines) {
+    int64_t units = 0;
+    for (MachineId machine : sites) {
+      if (!known(machine)) return false;
       const MachineState& state =
           machines_[static_cast<size_t>(machine.value())];
       auto grant = state.grants.find(key);
       if (grant == state.grants.end()) return false;
-      app_usage[key.app] += demand->def.resources * grant->second;
+      units += grant->second;
     }
+    site_pairs += sites.size();
+    tally(audit_usage_, key.app, demand->def.resources * units);
   }
-  std::map<AppId, cluster::ResourceVector> app_waiting;
+  if (site_pairs != grant_pairs) return false;
+  // Per-node fair-share conservation: every tenant node's stored
+  // usage/waiting must equal the per-app tallies rolled up its subtree.
+  audit_waiting_.clear();
   for (const PendingDemand* demand : tree_.AllDemands()) {
     if (demand->total_remaining <= 0) continue;
-    app_waiting[demand->key.app] +=
-        demand->def.resources * demand->total_remaining;
+    tally(audit_waiting_, demand->key.app,
+          demand->def.resources * demand->total_remaining);
   }
-  if (!fairshare_.CheckConservation(app_usage, app_waiting)) return false;
-  return true;
+  return fairshare_.CheckConservation(audit_usage_, audit_waiting_);
 }
 
 void Scheduler::SyncFreeIndex(MachineId machine, MachineState& state) {

@@ -227,8 +227,9 @@ class Scheduler {
 
   /// Validates cross-structure consistency (free+granted == capacity,
   /// quota usage matches grants, tree invariants, and that every
-  /// incremental index agrees with a from-scratch recomputation). For
-  /// tests.
+  /// incremental index lists exactly what the machine table implies).
+  /// Every call checks everything; in steady state a call allocates
+  /// nothing. The chaos InvariantMonitor runs it on every heavy sweep.
   bool CheckInvariants() const;
 
   /// Wires the metrics registry in (null detaches). Grants are counted
@@ -417,6 +418,11 @@ class Scheduler {
   SchedulingResult* planner_result_ = nullptr;
   /// Retained so a lazily-built planner can wire its instruments.
   obs::MetricsRegistry* metrics_registry_ = nullptr;
+
+  /// CheckInvariants' per-app tallies, kept so an audit reuses their
+  /// storage instead of allocating.
+  mutable std::vector<FairShareTree::AppAmount> audit_usage_;
+  mutable std::vector<FairShareTree::AppAmount> audit_waiting_;
 
   /// The audit-equivalence test's window into the indexes.
   friend struct SchedulerAuditPeer;

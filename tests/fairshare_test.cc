@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "resource/fairshare.h"
 
@@ -296,17 +297,17 @@ TEST(FairShareTreeTest, ConservationCatchesCookedBooks) {
   tree.OnGrant(AppId(1), ResourceVector(30, 300));
   tree.OnGrant(AppId(2), ResourceVector(10, 100));
   tree.OnWaitingChange(AppId(1), ResourceVector(5, 50));
-  std::map<AppId, ResourceVector> usage;
-  usage[AppId(1)] = ResourceVector(30, 300);
-  usage[AppId(2)] = ResourceVector(10, 100);
-  std::map<AppId, ResourceVector> waiting;
-  waiting[AppId(1)] = ResourceVector(5, 50);
+  std::vector<FairShareTree::AppAmount> usage = {
+      {AppId(1), ResourceVector(30, 300)},
+      {AppId(2), ResourceVector(10, 100)}};
+  std::vector<FairShareTree::AppAmount> waiting = {
+      {AppId(1), ResourceVector(5, 50)}};
   EXPECT_TRUE(tree.CheckConservation(usage, waiting));
   // A mismatched tally anywhere in the subtree must be flagged.
-  usage[AppId(1)] = ResourceVector(31, 300);
+  usage[0].amount = ResourceVector(31, 300);
   EXPECT_FALSE(tree.CheckConservation(usage, waiting));
-  usage[AppId(1)] = ResourceVector(30, 300);
-  waiting.erase(AppId(1));
+  usage[0].amount = ResourceVector(30, 300);
+  waiting.clear();
   EXPECT_FALSE(tree.CheckConservation(usage, waiting));
 }
 

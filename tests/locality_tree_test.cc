@@ -404,7 +404,8 @@ TEST_P(LocalityTreeFuzzTest, RandomOperationsKeepInvariants) {
     ASSERT_TRUE(tree.CheckInvariants()) << "step " << step;
     // The per-app range is exactly AllDemands() filtered by app, in key
     // order.
-    std::vector<const PendingDemand*> all = tree.AllDemands();
+    auto demands = tree.AllDemands();
+    std::vector<const PendingDemand*> all(demands.begin(), demands.end());
     for (int64_t app = 1; app <= 4; ++app) {
       std::vector<const PendingDemand*> want;
       for (const PendingDemand* demand : all) {

@@ -233,8 +233,12 @@ TEST_F(PlannerSchedulerTest, MalformedHintsAreRejectedWithoutSideEffects) {
   SchedulingResult result;
   // Slot 0 asks for more than the cluster holds, so it stays waiting.
   ASSERT_TRUE(Apply(AppId(1), MakeUnit(0, 10, 100, 2048, 30), &result).ok());
-  const std::vector<const resource::PendingDemand*> before =
-      scheduler_.locality_tree().AllDemands();
+  auto demands = [this] {
+    auto view = scheduler_.locality_tree().AllDemands();
+    return std::vector<const resource::PendingDemand*>(view.begin(),
+                                                       view.end());
+  };
+  const std::vector<const resource::PendingDemand*> before = demands();
   ASSERT_EQ(before.size(), 1u);
   const int64_t remaining_before = before[0]->total_remaining;
 
@@ -253,7 +257,7 @@ TEST_F(PlannerSchedulerTest, MalformedHintsAreRejectedWithoutSideEffects) {
   gang.plan.gang_size = 0;
   EXPECT_TRUE(Apply(AppId(1), gang, &result).IsInvalidArgument());
 
-  EXPECT_EQ(scheduler_.locality_tree().AllDemands(), before);
+  EXPECT_EQ(demands(), before);
   EXPECT_EQ(before[0]->total_remaining, remaining_before);
   EXPECT_FALSE(before[0]->plan.Any());
   EXPECT_FALSE(scheduler_.planner_active());
