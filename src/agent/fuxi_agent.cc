@@ -7,6 +7,26 @@
 
 namespace fuxi::agent {
 
+namespace {
+
+/// The first row of the key-sorted table `rows` not below `key`.
+template <typename Rows>
+auto LowerBound(Rows& rows, const std::pair<AppId, uint32_t>& key) {
+  return std::lower_bound(
+      rows.begin(), rows.end(), key,
+      [](const auto& row, const auto& k) { return row.key < k; });
+}
+
+/// The row of `key` in the key-sorted table `rows`, or null.
+template <typename Rows>
+auto FindRow(Rows& rows, const std::pair<AppId, uint32_t>& key)
+    -> decltype(rows.data()) {
+  auto it = LowerBound(rows, key);
+  return it != rows.end() && it->key == key ? &*it : nullptr;
+}
+
+}  // namespace
+
 FuxiAgent::FuxiAgent(sim::Simulator* simulator, net::Network* network,
                      coord::LockService* locks, ProcessHost* host,
                      const cluster::ClusterTopology* topology, NodeId self,
@@ -60,9 +80,8 @@ void FuxiAgent::Crash() {
   network_->Unregister(self_);
   // Soft state lost with the daemon; processes keep running in the
   // ProcessHost (user-transparent agent failover, §4.3.1).
-  capacity_.clear();
+  slots_.clear();
   granted_total_ = {};
-  pending_launches_.clear();
   restart_counts_.clear();
 }
 
@@ -142,27 +161,29 @@ void FuxiAgent::SendHeartbeat(bool with_allocations) {
     hb.carries_allocations = true;
     // Report from the capacity table when we have one (authoritative),
     // otherwise from adopted processes (post-restart).
-    if (!capacity_.empty()) {
-      for (const auto& [key, entry] : capacity_) {
-        if (entry.count <= 0) continue;
+    bool has_capacity =
+        std::any_of(slots_.begin(), slots_.end(),
+                    [](const SlotState& slot) { return slot.count > 0; });
+    if (has_capacity) {
+      for (const SlotState& slot : slots_) {
+        if (slot.count <= 0) continue;
         hb.allocations.push_back(
-            {key.first, key.second, entry.def, entry.count});
+            {slot.key.first, slot.key.second, slot.def, slot.count});
       }
     } else {
-      std::map<CapacityKey, master::AgentAllocation> merged;
-      for (const Process* process : host_->Alive()) {
-        CapacityKey key{process->app, process->slot_id};
-        auto [it, inserted] = merged.emplace(
-            key, master::AgentAllocation{process->app, process->slot_id,
-                                         resource::ScheduleUnitDef{}, 0});
-        if (inserted) {
-          it->second.def.slot_id = process->slot_id;
-          it->second.def.resources = process->limit;
+      // One allocation per (app, slot) run of live processes, sized by
+      // the run's oldest process.
+      for (const ProcessHost::SlotEntry& entry : host_->AliveByApp()) {
+        if (hb.allocations.empty() ||
+            hb.allocations.back().app != entry.app ||
+            hb.allocations.back().slot_id != entry.slot_id) {
+          master::AgentAllocation alloc{entry.app, entry.slot_id,
+                                        resource::ScheduleUnitDef{}, 0};
+          alloc.def.slot_id = entry.slot_id;
+          alloc.def.resources = entry.process->limit;
+          hb.allocations.push_back(alloc);
         }
-        it->second.count += 1;
-      }
-      for (const auto& [key, alloc] : merged) {
-        hb.allocations.push_back(alloc);
+        hb.allocations.back().count += 1;
       }
     }
   }
@@ -181,27 +202,28 @@ void FuxiAgent::OnCapacity(const master::AgentCapacityRpc& rpc) {
     return;
   }
   if (rpc.full) {
-    capacity_.clear();
+    // The snapshot replaces every grant; starts in progress stay.
+    std::erase_if(slots_,
+                  [](const SlotState& slot) { return slot.launching == 0; });
+    for (SlotState& slot : slots_) slot.count = 0;
     granted_total_ = {};
     need_capacity_ = false;
   }
   for (const master::AgentCapacityRpc::Entry& entry : rpc.entries) {
-    CapacityKey key{entry.app, entry.slot_id};
-    CapacityEntry& cap = capacity_[key];
-    granted_total_ -= cap.def.resources * cap.count;
-    cap.def = entry.def;
+    SlotState& slot = SlotFor({entry.app, entry.slot_id});
+    granted_total_ -= slot.def.resources * slot.count;
+    slot.def = entry.def;
     if (rpc.full) {
-      cap.count = entry.delta;
+      slot.count = entry.delta;
     } else {
-      cap.count += entry.delta;
+      slot.count += entry.delta;
     }
-    if (cap.count < 0) cap.count = 0;
-    granted_total_ += cap.def.resources * cap.count;
+    if (slot.count < 0) slot.count = 0;
+    granted_total_ += slot.def.resources * slot.count;
+    // Enforcement kills and sends but never edits the table, so `slot`
+    // stays valid; at count 0 it leaves no process of the slot running.
     EnforceCapacity(entry.app, entry.slot_id);
-    if (cap.count == 0 &&
-        host_->AliveCountOf(entry.app, entry.slot_id) == 0) {
-      capacity_.erase(key);
-    }
+    DropIfIdle(&slot);
   }
   if (rpc.full) {
     // A full snapshot is authoritative for the whole machine: any live
@@ -283,11 +305,11 @@ void FuxiAgent::OnStartWorker(const net::Envelope& env,
   reply.plan_id = rpc.plan_id;
   reply.machine = machine();
   CapacityKey key{rpc.app, rpc.slot_id};
-  auto it = capacity_.find(key);
-  int64_t allowed = it == capacity_.end() ? 0 : it->second.count;
+  SlotState* slot = FindSlot(key);
+  int64_t allowed = slot == nullptr ? 0 : slot->count;
+  int64_t launching = slot == nullptr ? 0 : slot->launching;
   int64_t running =
       static_cast<int64_t>(host_->AliveCountOf(rpc.app, rpc.slot_id));
-  int64_t launching = pending_launches_[key];
   if (running + launching >= allowed) {
     // The agent only starts processes backed by granted capacity
     // (process isolation rule 1, §2.2).
@@ -301,20 +323,22 @@ void FuxiAgent::OnStartWorker(const net::Envelope& env,
   }
   // Worker start is not free: the package must be fetched and the
   // process brought up (Table 2's worker start overhead).
-  pending_launches_[key] += 1;
+  slot->launching += 1;
   uint64_t life = life_;
-  cluster::ResourceVector limit = it->second.def.resources;
+  cluster::ResourceVector limit = slot->def.resources;
   master::StartWorkerRpc plan = rpc;
   After(options_.worker_start_seconds, [this, life, key, limit, plan] {
     if (!alive_ || life != life_) return;
-    pending_launches_[key] -= 1;
-    if (pending_launches_[key] <= 0) pending_launches_.erase(key);
+    // The row is still here: this start's own count holds it.
+    SlotState* slot = FindSlot(key);
+    FUXI_CHECK(slot != nullptr);
+    slot->launching -= 1;
+    // Re-check capacity: it may have been revoked during the download.
+    int64_t now_allowed = slot->count;
+    DropIfIdle(slot);
     master::WorkerStartedRpc late_reply;
     late_reply.plan_id = plan.plan_id;
     late_reply.machine = machine();
-    // Re-check capacity: it may have been revoked during the download.
-    auto cap_it = capacity_.find(key);
-    int64_t now_allowed = cap_it == capacity_.end() ? 0 : cap_it->second.count;
     int64_t now_running = static_cast<int64_t>(
         host_->AliveCountOf(plan.app, plan.slot_id));
     if (now_running >= now_allowed) {
@@ -362,14 +386,20 @@ void FuxiAgent::InjectWorkerCrash(WorkerId worker) {
   note.worker = worker;
   note.machine = machine();
 
-  int& restarts = restart_counts_[worker];
+  // The budget belongs to the lineage, not to one process: take the
+  // crashed worker's count and hand it on to its replacement.
+  int restarts = 0;
+  if (auto it = restart_counts_.find(worker); it != restart_counts_.end()) {
+    restarts = it->second;
+    restart_counts_.erase(it);
+  }
   if (restarts < options_.worker_restart_limit) {
-    ++restarts;
     // Restart in place under the same grant (paper: the agent watches
     // the worker's status and restarts it if it crashes).
     WorkerId replacement = host_->Launch(copy.app, copy.slot_id,
                                          copy.owner_am, copy.limit,
                                          copy.plan, Now());
+    restart_counts_[replacement] = restarts + 1;
     ++workers_started_;
     if (started_counter_ != nullptr) started_counter_->Add();
     note.restarted = true;
@@ -379,8 +409,26 @@ void FuxiAgent::InjectWorkerCrash(WorkerId worker) {
 }
 
 int64_t FuxiAgent::CapacityOf(AppId app, uint32_t slot_id) const {
-  auto it = capacity_.find({app, slot_id});
-  return it == capacity_.end() ? 0 : it->second.count;
+  const SlotState* slot = FindRow(slots_, {app, slot_id});
+  return slot == nullptr ? 0 : slot->count;
+}
+
+FuxiAgent::SlotState* FuxiAgent::FindSlot(CapacityKey key) {
+  return FindRow(slots_, key);
+}
+
+FuxiAgent::SlotState& FuxiAgent::SlotFor(CapacityKey key) {
+  auto it = LowerBound(slots_, key);
+  if (it == slots_.end() || it->key != key) {
+    it = slots_.insert(it, SlotState{key, {}, 0, 0});
+  }
+  return *it;
+}
+
+void FuxiAgent::DropIfIdle(SlotState* slot) {
+  if (slot->count == 0 && slot->launching == 0) {
+    slots_.erase(slots_.begin() + (slot - slots_.data()));
+  }
 }
 
 void FuxiAgent::AuditKill(AppId app, uint32_t slot_id, const char* cause) {

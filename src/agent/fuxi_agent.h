@@ -107,8 +107,13 @@ class FuxiAgent : public sim::Actor {
     return granted_total_;
   }
 
+  /// Rows in the agent's per-(app, slot) table: one per slot that holds
+  /// granted capacity or a worker start in progress.
+  size_t slot_rows() const { return slots_.size(); }
+
   /// Simulates a worker process crash (PartialWorkerFailure injection):
-  /// the agent notices and applies its restart-in-place policy.
+  /// the agent notices and applies its restart-in-place policy, at most
+  /// worker_restart_limit times per worker lineage.
   void InjectWorkerCrash(WorkerId worker);
 
   uint64_t workers_started() const { return workers_started_; }
@@ -134,11 +139,24 @@ class FuxiAgent : public sim::Actor {
   /// Commits one kAgentKill decision record (no-op when detached).
   void AuditKill(AppId app, uint32_t slot_id, const char* cause);
 
-  struct CapacityEntry {
-    resource::ScheduleUnitDef def;
-    int64_t count = 0;
-  };
   using CapacityKey = std::pair<AppId, uint32_t>;
+  /// One (app, slot) row of the agent's table: the capacity FuxiMaster
+  /// granted and the worker starts still in progress. A row lives while
+  /// either count is nonzero.
+  struct SlotState {
+    CapacityKey key;
+    resource::ScheduleUnitDef def;  ///< unit of the last capacity edit
+    int64_t count = 0;              ///< granted units
+    /// Starts accepted and still "downloading the package".
+    int64_t launching = 0;
+  };
+
+  /// The row of `key`, or null. Never inserts.
+  SlotState* FindSlot(CapacityKey key);
+  /// The row of `key`, inserted empty when absent.
+  SlotState& SlotFor(CapacityKey key);
+  /// Erases `slot` once it holds neither capacity nor a start.
+  void DropIfIdle(SlotState* slot);
 
   void OnCapacity(const master::AgentCapacityRpc& rpc);
   void OnStartWorker(const net::Envelope& env,
@@ -181,14 +199,16 @@ class FuxiAgent : public sim::Actor {
   CapacitySeqGuard capacity_guard_;
 
   net::Endpoint endpoint_;
-  std::map<CapacityKey, CapacityEntry> capacity_;
-  /// Sum over capacity_ of def.resources x count, kept in step with
-  /// every table edit (the telemetry overcommit probe and the invariant
+  /// The per-(app, slot) table, sorted by key: one flat array, so the
+  /// lookups every StartWorkerRpc and capacity edit makes stay in
+  /// contiguous memory.
+  std::vector<SlotState> slots_;
+  /// Sum over slots_ of def.resources x count, kept in step with every
+  /// table edit (the telemetry overcommit probe and the invariant
   /// monitor read it for every agent, every tick).
   cluster::ResourceVector granted_total_;
-  /// Launches in progress (accepted, still "downloading the package").
-  std::map<CapacityKey, int64_t> pending_launches_;
-  /// Restart-in-place counters per worker lineage.
+  /// Restarts in place so far, keyed by the lineage's live worker id
+  /// (a replacement inherits the count of the worker it replaces).
   std::map<WorkerId, int> restart_counts_;
   AppMasterLauncher am_launcher_;
 

@@ -26,7 +26,9 @@ struct Process {
   /// Actual consumption (soft-limit model); defaults to the limit. The
   /// harness raises it to simulate memory-leaking / bursting processes.
   cluster::ResourceVector usage;
-  Json plan;
+  /// The worker description the application master sent, shared with
+  /// every other process started from it (null: none).
+  SharedJson plan;
   double started_at = 0;
   bool alive = true;
 };
@@ -61,7 +63,7 @@ class ProcessHost {
 
   /// Starts a process and returns its id.
   WorkerId Launch(AppId app, uint32_t slot_id, NodeId owner_am,
-                  const cluster::ResourceVector& limit, Json plan,
+                  const cluster::ResourceVector& limit, SharedJson plan,
                   double now) {
     WorkerId id = next_id_;
     next_id_ = WorkerId(next_id_.value() + 1);
@@ -69,7 +71,8 @@ class ProcessHost {
                     std::move(plan), now, true};
     auto [it, inserted] = processes_.emplace(id, std::move(process));
     // Ids only grow, so the new process goes at the end of its run.
-    by_slot_.insert(SlotRun(app, slot_id).second, &it->second);
+    by_slot_.insert(SlotRun(app, slot_id).second,
+                    SlotEntry{app, slot_id, &it->second});
     limit_total_ += limit;
     usage_total_ += limit;
     ++alive_count_;
@@ -85,7 +88,9 @@ class ProcessHost {
     Process& process = it->second;
     process.alive = false;
     auto [first, last] = SlotRun(process.app, process.slot_id);
-    by_slot_.erase(std::find(first, last, &process));
+    by_slot_.erase(std::find_if(first, last, [&](const SlotEntry& entry) {
+      return entry.process == &process;
+    }));
     limit_total_ -= process.limit;
     usage_total_ -= process.usage;
     --alive_count_;
@@ -109,21 +114,32 @@ class ProcessHost {
     return out;
   }
 
+  /// One live process in the (app, slot) index. The key is kept inline
+  /// so searching the index never touches the Process itself.
+  struct SlotEntry {
+    AppId app;
+    uint32_t slot_id = 0;
+    const Process* process = nullptr;
+  };
+
   /// Every live process sorted by (app, slot_id, id), so each app's
   /// processes form one contiguous run. Launch and Kill invalidate it.
-  const std::vector<const Process*>& AliveByApp() const { return by_slot_; }
+  const std::vector<SlotEntry>& AliveByApp() const { return by_slot_; }
 
   /// Live processes of one application slot, in id order (newest last).
   std::vector<const Process*> AliveOf(AppId app, uint32_t slot_id) const {
     auto [first, last] = SlotRun(app, slot_id);
-    return {first, last};
+    std::vector<const Process*> out;
+    out.reserve(static_cast<size_t>(last - first));
+    for (auto it = first; it != last; ++it) out.push_back(it->process);
+    return out;
   }
 
   /// The (app, slot) pairs with at least one live process, in order.
   std::vector<std::pair<AppId, uint32_t>> AliveSlots() const {
     std::vector<std::pair<AppId, uint32_t>> out;
-    for (const Process* process : by_slot_) {
-      std::pair<AppId, uint32_t> key{process->app, process->slot_id};
+    for (const SlotEntry& entry : by_slot_) {
+      std::pair<AppId, uint32_t> key{entry.app, entry.slot_id};
       if (out.empty() || out.back() != key) out.push_back(key);
     }
     return out;
@@ -158,19 +174,19 @@ class ProcessHost {
   size_t alive_count() const { return alive_count_; }
 
  private:
-  using SlotIndex = std::vector<const Process*>;
+  using SlotIndex = std::vector<SlotEntry>;
 
   /// The run of `by_slot_` holding (app, slot_id)'s live processes.
   std::pair<SlotIndex::const_iterator, SlotIndex::const_iterator> SlotRun(
       AppId app, uint32_t slot_id) const {
     auto first = std::partition_point(
-        by_slot_.begin(), by_slot_.end(), [&](const Process* p) {
-          return p->app < app || (p->app == app && p->slot_id < slot_id);
+        by_slot_.begin(), by_slot_.end(), [&](const SlotEntry& e) {
+          return e.app < app || (e.app == app && e.slot_id < slot_id);
         });
     auto last = std::partition_point(first, by_slot_.end(),
-                                     [&](const Process* p) {
-                                       return p->app == app &&
-                                              p->slot_id == slot_id;
+                                     [&](const SlotEntry& e) {
+                                       return e.app == app &&
+                                              e.slot_id == slot_id;
                                      });
     return {first, last};
   }
@@ -179,7 +195,7 @@ class ProcessHost {
   WorkerId next_id_;
   std::map<WorkerId, Process> processes_;
   /// Live processes sorted by (app, slot_id, id), so each slot's
-  /// processes form one run in id order: 8 bytes a process, no node
+  /// processes form one run in id order: 24 bytes a process, no node
   /// allocations. Kill updates the index, the totals and the count
   /// before the kill hook runs, so the hook sees the process as already
   /// gone, as Alive() does.

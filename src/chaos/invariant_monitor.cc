@@ -355,13 +355,13 @@ void InvariantMonitor::HeavyChecks(double now) {
 void InvariantMonitor::CheckOrphans(double now, MachineId machine,
                                     bool primary_elected) {
   // Live processes come sorted by app, so each app is asked about once.
-  const std::vector<const agent::Process*>& live =
+  const std::vector<agent::ProcessHost::SlotEntry>& live =
       cluster_->host(machine)->AliveByApp();
   std::vector<AppId> stray_apps;  // ascending; empty on a healthy machine
   for (auto run = live.begin(); run != live.end();) {
-    AppId app = (*run)->app;
-    auto run_end = std::find_if(run, live.end(), [app](const auto* p) {
-      return p->app != app;
+    AppId app = run->app;
+    auto run_end = std::find_if(run, live.end(), [app](const auto& entry) {
+      return entry.app != app;
     });
     if (!app_live_(app)) {
       stray_apps.push_back(app);
@@ -373,7 +373,10 @@ void InvariantMonitor::CheckOrphans(double now, MachineId machine,
           ConditionKey{ConditionKind::kOrphanProcesses, machine.value(),
                        app.value()},
           primary_elected, options_.orphan_grace, now, [&] {
-            std::vector<const agent::Process*> strays(run, run_end);
+            std::vector<const agent::Process*> strays;
+            for (auto it = run; it != run_end; ++it) {
+              strays.push_back(it->process);
+            }
             std::sort(strays.begin(), strays.end(),
                       [](const agent::Process* a, const agent::Process* b) {
                         return a->id < b->id;

@@ -102,6 +102,12 @@ class Json {
   Object object_;
 };
 
+/// An immutable document shared by reference. A worker description is
+/// built once by its application master and every StartWorkerRpc and
+/// process started from it points at that one object; null means "no
+/// description".
+using SharedJson = std::shared_ptr<const Json>;
+
 }  // namespace fuxi
 
 #endif  // FUXI_COMMON_JSON_H_

@@ -28,6 +28,11 @@ JobMaster::JobMaster(runtime::SimCluster* cluster, AppId app,
     tasks_.push_back(std::make_unique<TaskMaster>(
         desc_.tasks[i], static_cast<uint32_t>(i)));
     tasks_.back()->options = options_;
+    Json plan = Json::MakeObject();
+    plan["fuxi_job"] = Json(app_.value());
+    plan["task"] = Json(desc_.tasks[i].name);
+    plan["package"] = Json("pangu://packages/" + desc_.name + ".tar.gz");
+    worker_plans_.push_back(std::make_shared<const Json>(std::move(plan)));
   }
   endpoint_.Handle<master::WorkerStartedRpc>(
       [this](const net::Envelope&, const master::WorkerStartedRpc& rpc) {
@@ -277,11 +282,7 @@ void JobMaster::TryStartWorkers(TaskMaster* task, MachineId machine) {
     rpc.slot_id = task->slot_id();
     rpc.am_node = node_;
     rpc.plan_id = next_plan_id_++;
-    Json plan = Json::MakeObject();
-    plan["fuxi_job"] = Json(app_.value());
-    plan["task"] = Json(task->config().name);
-    plan["package"] = Json("pangu://packages/" + desc_.name + ".tar.gz");
-    rpc.plan = std::move(plan);
+    rpc.plan = worker_plans_[task->slot_id()];
     pending_plans_.emplace(
         rpc.plan_id,
         PendingPlan{task->slot_id(), machine, cluster_->sim().Now()});

@@ -297,6 +297,9 @@ class JobMaster {
   net::Endpoint endpoint_;
   std::unique_ptr<master::ResourceClient> client_;
   std::vector<std::unique_ptr<TaskMaster>> tasks_;
+  /// Per task (indexed like tasks_): the description its workers start
+  /// from, built once and shared by every StartWorkerRpc and process.
+  std::vector<SharedJson> worker_plans_;
   uint64_t next_plan_id_ = 1;
   /// plan id -> (slot, machine, sent_at) awaiting WorkerStartedRpc.
   struct PendingPlan {

@@ -22,10 +22,11 @@ void JobRuntime::InstallHooks() {
     agent::ProcessHost* host = cluster_->host(machine.id);
     MachineId machine_id = machine.id;
     host->set_launch_hook([this, machine_id](const agent::Process& process) {
-      const Json* job_tag = process.plan.Find("fuxi_job");
+      if (process.plan == nullptr) return;
+      const Json* job_tag = process.plan->Find("fuxi_job");
       if (job_tag == nullptr) return;  // not a Fuxi-job worker
       AppId app = AppId(job_tag->as_int());
-      std::string task = process.plan.GetString("task");
+      std::string task = process.plan->GetString("task");
       auto worker = std::make_unique<TaskWorker>(
           cluster_, app, task, process.id, machine_id,
           cluster_->AllocateNodeId(), process.owner_am, rng_.Next());

@@ -173,13 +173,14 @@ struct StopAppRpc {
 
 /// Application master → FuxiAgent: start a worker process under a
 /// previously granted unit. `plan` carries package location / start-up
-/// parameters (opaque to the agent).
+/// parameters (opaque to the agent): the application master's one shared
+/// description, which the launched process keeps pointing at.
 struct StartWorkerRpc {
   AppId app;
   uint32_t slot_id = 0;
   NodeId am_node;
   uint64_t plan_id = 0;  ///< echo token for the reply
-  Json plan;
+  SharedJson plan;
 };
 
 /// FuxiAgent → application master: worker launch outcome. On a

@@ -24,6 +24,10 @@ SyntheticApp::SyntheticApp(SimCluster* cluster, AppId app,
   for (SyntheticStage& stage : stages) {
     StageState state;
     state.config = stage;
+    Json plan = Json::MakeObject();
+    plan["package"] = Json("pangu://packages/synthetic_worker.tar.gz");
+    plan["slot"] = Json(static_cast<int64_t>(stage.slot_id));
+    state.worker_plan = std::make_shared<const Json>(std::move(plan));
     state.remaining_instances = stage.instances;
     stages_.push_back(std::move(state));
   }
@@ -212,8 +216,8 @@ void SyntheticApp::TryStartWorkers(StageState* stage, MachineId machine) {
     }
   }
   int64_t pending = 0;
-  for (const auto& [plan, pending_machine] : stage->pending_plans) {
-    if (pending_machine == machine) ++pending;
+  for (const auto& [plan_id, plan] : stage->pending_plans) {
+    if (plan.machine == machine) ++pending;
   }
   while (running + pending < granted) {
     master::StartWorkerRpc rpc;
@@ -221,12 +225,9 @@ void SyntheticApp::TryStartWorkers(StageState* stage, MachineId machine) {
     rpc.slot_id = stage->config.slot_id;
     rpc.am_node = node_;
     rpc.plan_id = next_plan_id_++;
-    Json plan = Json::MakeObject();
-    plan["package"] = Json("pangu://packages/synthetic_worker.tar.gz");
-    plan["slot"] = Json(static_cast<int64_t>(stage->config.slot_id));
-    rpc.plan = std::move(plan);
-    stage->pending_plans.emplace(rpc.plan_id, machine);
-    plan_sent_at_[rpc.plan_id] = cluster_->sim().Now();
+    rpc.plan = stage->worker_plan;
+    stage->pending_plans.emplace(
+        rpc.plan_id, PendingPlan{machine, cluster_->sim().Now()});
     // Plans are not fire-and-forget: if the StartWorkerRpc or its reply
     // is lost the pending entry would block this machine's launch slot
     // forever. Time the plan out and retry while the grant stands.
@@ -238,7 +239,6 @@ void SyntheticApp::TryStartWorkers(StageState* stage, MachineId machine) {
                                auto it = stage->pending_plans.find(plan_id);
                                if (it == stage->pending_plans.end()) return;
                                stage->pending_plans.erase(it);
-                               plan_sent_at_.erase(plan_id);
                                TryStartWorkers(stage, machine);
                              });
     cluster_->network().Send(node_, cluster_->agent(machine)->node(), rpc);
@@ -247,17 +247,13 @@ void SyntheticApp::TryStartWorkers(StageState* stage, MachineId machine) {
 }
 
 void SyntheticApp::OnWorkerStarted(const master::WorkerStartedRpc& rpc) {
-  double sent_at = -1;
-  if (auto it = plan_sent_at_.find(rpc.plan_id);
-      it != plan_sent_at_.end()) {
-    sent_at = it->second;
-    plan_sent_at_.erase(it);
-  }
   StageState* owning_stage = nullptr;
+  double sent_at = 0;
   for (StageState& stage : stages_) {
     auto it = stage.pending_plans.find(rpc.plan_id);
     if (it != stage.pending_plans.end()) {
       owning_stage = &stage;
+      sent_at = it->second.sent_at;
       stage.pending_plans.erase(it);
       break;
     }
@@ -301,10 +297,8 @@ void SyntheticApp::OnWorkerStarted(const master::WorkerStartedRpc& rpc) {
   auto [it, inserted] = workers_.emplace(rpc.worker, std::move(record));
   FUXI_CHECK(inserted);
   ++stats_.workers_started;
-  if (sent_at >= 0) {
-    stats_.worker_start_latency_sum += cluster_->sim().Now() - sent_at;
-    ++stats_.worker_start_count;
-  }
+  stats_.worker_start_latency_sum += cluster_->sim().Now() - sent_at;
+  ++stats_.worker_start_count;
   AssignWork(&it->second);
 }
 

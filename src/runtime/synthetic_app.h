@@ -112,15 +112,24 @@ class SyntheticApp {
     sim::EventHandle work_timer;
   };
 
+  /// A worker-start plan awaiting the agent's reply.
+  struct PendingPlan {
+    MachineId machine;
+    double sent_at = 0;  ///< Table 2 start latency
+  };
+
   struct StageState {
     SyntheticStage config;
+    /// The description every worker of the stage starts from, built
+    /// once and shared by each StartWorkerRpc and process.
+    SharedJson worker_plan;
     int64_t remaining_instances = 0;  ///< not yet started
     int64_t inflight = 0;             ///< currently executing
     int64_t done = 0;
     bool launched = false;  ///< demand published
     bool complete = false;
     /// Worker-start plans awaiting agent replies, keyed by plan id.
-    std::map<uint64_t, MachineId> pending_plans;
+    std::map<uint64_t, PendingPlan> pending_plans;
   };
 
   resource::ScheduleUnitDef MakeDefFor(const StageState& stage) const;
@@ -149,7 +158,6 @@ class SyntheticApp {
   bool finished_ = false;
   uint64_t life_ = 0;
   uint64_t next_plan_id_ = 1;
-  std::map<uint64_t, double> plan_sent_at_;  ///< Table 2 start latency
   std::map<WorkerId, WorkerRecord> workers_;
   Stats stats_;
   DoneCallback done_callback_;

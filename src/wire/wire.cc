@@ -200,4 +200,23 @@ void WireEncode(Writer& w, const Json& json) {
 
 Status WireDecode(Reader& r, Json& json) { return DecodeJson(r, json, 0); }
 
+void WireEncode(Writer& w, const SharedJson& json) {
+  if (json == nullptr) {
+    WireEncode(w, Json());
+  } else {
+    WireEncode(w, *json);
+  }
+}
+
+Status WireDecode(Reader& r, SharedJson& json) {
+  Json decoded;
+  FUXI_RETURN_IF_ERROR(DecodeJson(r, decoded, 0));
+  if (decoded.is_null()) {
+    json = nullptr;
+  } else {
+    json = std::make_shared<const Json>(std::move(decoded));
+  }
+  return Status::Ok();
+}
+
 }  // namespace fuxi::wire

@@ -483,6 +483,12 @@ Status WireDecode(Reader& r, T& m) {
 void WireEncode(Writer& w, const Json& json);
 Status WireDecode(Reader& r, Json& json);
 
+/// A shared document travels as its pointee, byte for byte a Json field;
+/// null encodes as Json null and decodes back to null. Decoding builds a
+/// fresh document, so a received message never aliases the sender's.
+void WireEncode(Writer& w, const SharedJson& json);
+Status WireDecode(Reader& r, SharedJson& json);
+
 // ---------------------------------------------------------------------
 // Concepts
 // ---------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // Agent-side bookkeeping: the capacity-channel replay guard, the
 // process table's (app, slot) index and running totals, and the agent's
 // incrementally kept granted-capacity total — each checked against a
-// brute-force recount.
+// brute-force recount — plus worker starts: the (app, slot) table, the
+// shared worker description and the restart budget.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -239,7 +241,7 @@ TEST(ProcessHostTest, IndexAndTotalsMatchRecountUnderRandomChurn) {
           launched.push_back(host.Launch(
               AppId(rng.UniformRange(1, 4)),
               static_cast<uint32_t>(rng.Uniform(3)), NodeId(7), limit,
-              Json(), step));
+              nullptr, step));
           break;
         }
         case 1:
@@ -336,7 +338,7 @@ TEST_F(AgentCapacityTest, GrantedTotalMatchesRecountOverRandomCapacityRpcs) {
       // zero-count entries alive in the table.
       AppId app(rng.UniformRange(1, 3));
       uint32_t slot = static_cast<uint32_t>(rng.Uniform(2));
-      host_.Launch(app, slot, NodeId(9), ResourceVector(10, 10), Json(),
+      host_.Launch(app, slot, NodeId(9), ResourceVector(10, 10), nullptr,
                    sim_.Now());
     }
     Deliver(rpc);
@@ -349,6 +351,200 @@ TEST_F(AgentCapacityTest, GrantedTotalMatchesRecountOverRandomCapacityRpcs) {
   }
   agent_.Crash();
   EXPECT_TRUE(agent_.TotalGrantedCapacity().IsZero());
+}
+
+// ---------------------------------------------------------------------
+// FuxiAgent worker starts: the flat (app, slot) table, the shared worker
+// description and the restart budget.
+
+/// One agent on a one-machine cluster, driven by hand: capacity comes
+/// from a "master" node, start requests from an application master whose
+/// endpoint records every reply and crash report.
+class AgentRig {
+ public:
+  const NodeId kMaster = NodeId(1);
+  const NodeId kAm = NodeId(50);
+  const NodeId kAgent = NodeId(100);
+
+  explicit AgentRig(bool serialize_on_send)
+      : network_(&sim_, NetConfig(serialize_on_send)),
+        locks_(&sim_),
+        topology_(cluster::ClusterTopology::Build({1, 1})),
+        host_(MachineId(0)),
+        agent_(&sim_, &network_, &locks_, &host_, &topology_, kAgent) {
+    am_.Handle<master::WorkerStartedRpc>(
+        [this](const net::Envelope&, const master::WorkerStartedRpc& rpc) {
+          started_.push_back(rpc);
+        });
+    am_.Handle<master::WorkerCrashedRpc>(
+        [this](const net::Envelope&, const master::WorkerCrashedRpc& rpc) {
+          crashed_.push_back(rpc);
+        });
+    network_.Register(kAm, &am_);
+    agent_.Start();  // no master holds the lease: heartbeats are skipped
+  }
+
+  void Grant(AppId app, uint32_t slot, int64_t delta) {
+    master::AgentCapacityRpc rpc;
+    rpc.master_generation = 1;
+    rpc.seq = ++seq_;
+    master::AgentCapacityRpc::Entry entry;
+    entry.app = app;
+    entry.slot_id = slot;
+    entry.def.slot_id = slot;
+    entry.def.resources = ResourceVector(50, 512);
+    entry.delta = delta;
+    rpc.entries.push_back(entry);
+    network_.Send(kMaster, kAgent, rpc);
+    RunFor(0.01);
+  }
+
+  /// Asks for one worker of (app, slot); the reply lands in started().
+  void StartWorker(AppId app, uint32_t slot, SharedJson plan) {
+    master::StartWorkerRpc rpc{app, slot, kAm, ++plan_id_, std::move(plan)};
+    network_.Send(kAm, kAgent, rpc);
+    RunFor(0.01);
+  }
+
+  void RunFor(double seconds) { sim_.RunUntil(sim_.Now() + seconds); }
+
+  net::Network& network() { return network_; }
+  ProcessHost& host() { return host_; }
+  FuxiAgent& agent() { return agent_; }
+  const std::vector<master::WorkerStartedRpc>& started() const {
+    return started_;
+  }
+  const std::vector<master::WorkerCrashedRpc>& crashed() const {
+    return crashed_;
+  }
+
+ private:
+  static net::Network::Config NetConfig(bool serialize_on_send) {
+    net::Network::Config config;
+    config.serialize_on_send = serialize_on_send;
+    return config;
+  }
+
+  sim::Simulator sim_;
+  net::Network network_;
+  coord::LockService locks_;
+  cluster::ClusterTopology topology_;
+  ProcessHost host_;
+  FuxiAgent agent_;
+  net::Endpoint am_;
+  uint64_t seq_ = 0;
+  uint64_t plan_id_ = 0;
+  std::vector<master::WorkerStartedRpc> started_;
+  std::vector<master::WorkerCrashedRpc> crashed_;
+};
+
+SharedJson WorkerPlan(const char* package) {
+  Json plan = Json::MakeObject();
+  plan["package"] = Json(package);
+  return std::make_shared<const Json>(std::move(plan));
+}
+
+TEST(AgentWorkerStartTest, RefusedStartsLeaveTheTableAsItWas) {
+  AgentRig rig(/*serialize_on_send=*/false);
+  rig.Grant(AppId(1), 0, 1);
+  ASSERT_EQ(rig.agent().slot_rows(), 1u);
+
+  // No grant at all for these slots: refused, and no row appears.
+  for (uint32_t slot = 0; slot < 5; ++slot) {
+    rig.StartWorker(AppId(2), slot, WorkerPlan("p"));
+    ASSERT_FALSE(rig.started().back().ok);
+    EXPECT_EQ(rig.agent().slot_rows(), 1u) << "slot " << slot;
+  }
+  // The one unit is taken by a start in progress: a second is refused.
+  rig.StartWorker(AppId(1), 0, WorkerPlan("p"));
+  rig.StartWorker(AppId(1), 0, WorkerPlan("p"));
+  ASSERT_EQ(rig.started().size(), 6u);
+  EXPECT_FALSE(rig.started().back().ok);
+  EXPECT_EQ(rig.agent().slot_rows(), 1u);
+
+  rig.RunFor(5.0);
+  ASSERT_TRUE(rig.started().back().ok);
+  EXPECT_EQ(rig.host().AliveCountOf(AppId(1), 0), 1u);
+  EXPECT_EQ(rig.agent().slot_rows(), 1u);
+
+  // Revoking the grant kills the worker and empties the table.
+  rig.Grant(AppId(1), 0, -1);
+  EXPECT_EQ(rig.host().alive_count(), 0u);
+  EXPECT_EQ(rig.agent().slot_rows(), 0u);
+}
+
+TEST(AgentWorkerStartTest, RevokedDuringDownloadLeavesNoRow) {
+  AgentRig rig(/*serialize_on_send=*/false);
+  rig.Grant(AppId(1), 0, 1);
+  rig.StartWorker(AppId(1), 0, WorkerPlan("p"));
+  // The revocation lands while the package downloads: the row stays
+  // for the start, which then fails its re-check and leaves nothing.
+  rig.Grant(AppId(1), 0, -1);
+  EXPECT_EQ(rig.agent().CapacityOf(AppId(1), 0), 0);
+  EXPECT_EQ(rig.agent().slot_rows(), 1u);
+  rig.RunFor(5.0);
+  ASSERT_EQ(rig.started().size(), 1u);
+  EXPECT_FALSE(rig.started().back().ok);
+  EXPECT_EQ(rig.host().alive_count(), 0u);
+  EXPECT_EQ(rig.agent().slot_rows(), 0u);
+}
+
+TEST(AgentWorkerStartTest, LaunchedProcessesShareTheSentDescription) {
+  uint64_t bytes_sent[2] = {0, 0};
+  for (bool serialize_on_send : {false, true}) {
+    AgentRig rig(serialize_on_send);
+    SharedJson plan = WorkerPlan("pangu://packages/w.tar.gz");
+    rig.Grant(AppId(1), 0, 2);
+    rig.StartWorker(AppId(1), 0, plan);
+    rig.StartWorker(AppId(1), 0, plan);
+    rig.StartWorker(AppId(1), 0, plan);     // refused: both units taken
+    rig.StartWorker(AppId(1), 1, nullptr);  // refused, no description
+    rig.RunFor(5.0);
+    std::vector<const Process*> running = rig.host().AliveOf(AppId(1), 0);
+    ASSERT_EQ(running.size(), 2u);
+    for (const Process* process : running) {
+      ASSERT_NE(process->plan, nullptr);
+      EXPECT_EQ(*process->plan, *plan);
+      if (serialize_on_send) {
+        // Every message decodes into a description of its own.
+        EXPECT_NE(process->plan, plan);
+      } else {
+        EXPECT_EQ(process->plan, plan) << "the description was copied";
+      }
+    }
+    if (serialize_on_send) {
+      EXPECT_NE(running[0]->plan, running[1]->plan);
+    }
+    bytes_sent[serialize_on_send] = rig.network().stats().bytes_sent;
+  }
+  // Sharing changes what is held, never what is sent.
+  EXPECT_GT(bytes_sent[0], 0u);
+  EXPECT_EQ(bytes_sent[0], bytes_sent[1]);
+}
+
+TEST(AgentWorkerStartTest, RestartBudgetFollowsTheWorkerLineage) {
+  AgentRig rig(/*serialize_on_send=*/false);
+  const int limit = FuxiAgentOptions{}.worker_restart_limit;
+  SharedJson plan = WorkerPlan("p");
+  WorkerId worker = rig.host().Launch(AppId(1), 0, rig.kAm,
+                                      ResourceVector(50, 512), plan, 0);
+  for (int crash = 0; crash <= limit; ++crash) {
+    rig.agent().InjectWorkerCrash(worker);
+    rig.RunFor(0.01);
+    ASSERT_EQ(rig.crashed().size(), static_cast<size_t>(crash + 1));
+    const master::WorkerCrashedRpc& note = rig.crashed().back();
+    EXPECT_EQ(note.worker, worker);
+    if (crash < limit) {
+      ASSERT_TRUE(note.restarted) << "crash " << crash;
+      worker = note.replacement;
+      // The replacement runs from the same shared description.
+      ASSERT_NE(rig.host().Find(worker), nullptr);
+      EXPECT_EQ(rig.host().Find(worker)->plan, plan);
+    } else {
+      EXPECT_FALSE(note.restarted) << "budget not enforced across ids";
+    }
+  }
+  EXPECT_EQ(rig.host().alive_count(), 0u);
 }
 
 }  // namespace

@@ -225,8 +225,8 @@ TEST(OverloadPolicyTest, NoKillWhenWithinCapacity) {
 TEST(OverloadPolicyTest, ActualUsageAccounting) {
   agent::ProcessHost host(MachineId(0));
   WorkerId a = host.Launch(AppId(1), 0, NodeId(1),
-                           ResourceVector(100, 1000), Json(), 0);
-  host.Launch(AppId(1), 0, NodeId(1), ResourceVector(100, 1000), Json(),
+                           ResourceVector(100, 1000), nullptr, 0);
+  host.Launch(AppId(1), 0, NodeId(1), ResourceVector(100, 1000), nullptr,
               0);
   EXPECT_EQ(host.TotalActualUsage(), ResourceVector(200, 2000));
   ASSERT_TRUE(host.SetProcessUsage(a, ResourceVector(150, 3000)));

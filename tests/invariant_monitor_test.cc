@@ -51,7 +51,7 @@ class InvariantMonitorTest : public ::testing::Test {
   WorkerId LaunchStray(int machine, int app, uint32_t slot = 0) {
     return cluster_.host(MachineId(machine))
         ->Launch(AppId(app), slot, NodeId(900),
-                 cluster::ResourceVector(10, 64), Json(), Now());
+                 cluster::ResourceVector(10, 64), nullptr, Now());
   }
 
   void KillStray(int machine, WorkerId worker) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "resource/scheduler.h"
@@ -21,6 +24,21 @@ struct FuzzParams {
   bool preemption;
   bool locality_tree;
 };
+
+// Without these gtest prints the struct's raw bytes, padding included,
+// so the test names changed from build to build. PrintTo gives the
+// readable form, "seed42_quota_preempt_tree" (the seed plus each enabled
+// feature), which ctest lists as the case's name; gtest names the case
+// by its seed, which is unique in the list below.
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << (p.quota ? "_quota" : "")
+      << (p.preemption ? "_preempt" : "")
+      << (p.locality_tree ? "_tree" : "");
+}
+
+std::string FuzzName(const ::testing::TestParamInfo<FuzzParams>& info) {
+  return std::to_string(info.param.seed);
+}
 
 class SchedulerFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
@@ -140,7 +158,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParams{7, false, false, false},
                       FuzzParams{8, true, true, true},
                       FuzzParams{42, true, true, true},
-                      FuzzParams{1337, true, true, true}));
+                      FuzzParams{1337, true, true, true}),
+    FuzzName);
 
 /// Conservation property: under request/grant/release-only traffic (no
 /// machine failures), granted + waiting always equals total demanded.

@@ -278,7 +278,7 @@ master::StopAppRpc RandStopAppRpc(Rng& rng) { return {AppId(RandI64(rng))}; }
 
 master::StartWorkerRpc RandStartWorkerRpc(Rng& rng) {
   return {AppId(RandI64(rng)), RandSlot(rng), NodeId(RandI64(rng)),
-          RandU64(rng), RandJson(rng, 3)};
+          RandU64(rng), std::make_shared<const Json>(RandJson(rng, 3))};
 }
 
 WorkerId RandWorker(Rng& rng) { return WorkerId(RandI64(rng)); }
@@ -888,6 +888,38 @@ TEST(WireJsonTest, StructuralRoundTripIsExact) {
     EXPECT_EQ(decoded, doc);
     EXPECT_EQ(wire::EncodeBody(decoded), bytes);
   }
+}
+
+TEST(WireJsonTest, SharedDocumentEncodesAsItsPointee) {
+  Rng rng(607);
+  for (int i = 0; i < kFuzzIterations; ++i) {
+    SharedJson doc = std::make_shared<const Json>(RandJson(rng, 4));
+    std::string bytes = wire::EncodeBody(doc);
+    EXPECT_EQ(bytes, wire::EncodeBody(*doc));
+    SharedJson decoded;
+    ASSERT_TRUE(wire::DecodeBody(bytes, &decoded).ok());
+    if (doc->is_null()) {
+      EXPECT_EQ(decoded, nullptr);
+    } else {
+      ASSERT_NE(decoded, nullptr);
+      EXPECT_NE(decoded, doc) << "a decode must build its own document";
+      EXPECT_EQ(*decoded, *doc);
+    }
+  }
+}
+
+TEST(WireJsonTest, NullSharedDocumentRoundTripsAsJsonNull) {
+  master::StartWorkerRpc rpc{AppId(3), 1, NodeId(7), 42, nullptr};
+  master::StartWorkerRpc with_null_json = rpc;
+  with_null_json.plan = std::make_shared<const Json>();
+  EXPECT_EQ(wire::EncodeBody(SharedJson()), wire::EncodeBody(Json()));
+  std::string bytes = wire::EncodeToString(rpc);
+  EXPECT_EQ(bytes, wire::EncodeToString(with_null_json));
+  master::StartWorkerRpc decoded;
+  decoded.plan = std::make_shared<const Json>(Json("stale"));
+  ASSERT_TRUE(wire::DecodeFramed(bytes, &decoded).ok());
+  EXPECT_EQ(decoded.plan, nullptr);
+  EXPECT_EQ(decoded.plan_id, 42u);
 }
 
 TEST(WireJsonTest, NestingDepthCapped) {
